@@ -1,24 +1,21 @@
-// Crash-safe durability for the daemon: with -wal-dir set, every fleet
-// and store mutation is appended to a segmented write-ahead log before
-// the client is acknowledged, and a background checkpointer periodically
-// writes the full daemon state — extraction cache, pair verdicts, fleet
-// homes, audited store — to one checkpoint file, then garbage-collects
-// the log segments the checkpoint covers. Boot recovery restores the
-// last checkpoint and replays the log's tail on top; per-entity LSN
-// watermarks persisted in the checkpoint make the replay exactly-once.
-// /readyz answers 503 for the whole recovery and flips to 200 only when
-// the replayed state is serving.
+// The daemon's on-disk state: one checkpoint file, optionally backed by
+// a write-ahead log. With -wal-dir set, every fleet and store mutation is
+// appended to a segmented write-ahead log before the client is
+// acknowledged, and a background checkpointer periodically writes the
+// full daemon state — extraction cache, pair verdicts, fleet homes,
+// audited store — to the checkpoint, then garbage-collects the log
+// segments it covers. Boot recovery restores the checkpoint and replays
+// the log's tail on top; per-entity LSN watermarks persisted in the
+// checkpoint make the replay exactly-once. Without a WAL the same file
+// is written at LSN 0 on graceful shutdown and restored on boot. /readyz
+// answers 503 for the whole recovery and flips to 200 only when the
+// restored state is serving.
 //
 // The checkpoint file is five snapcodec sections back to back: a meta
 // section ("HGCKSNP\x00" v1, one JSON record naming the checkpoint LSN
 // and which optional sections follow), then the extraction cache
 // ("HGXCSNP\x00"), the pair-verdict cache ("HGPVSNP\x00"), the fleet
-// homes ("HGFLSNP\x00") and the audited store ("HGAUSNP\x00"). A legacy
-// cache-only snapshot (the pre-WAL -snapshot-path format, which starts
-// directly with the extraction-cache magic) is recognized by its leading
-// magic and restored as caches-plus-empty-state with watermark zero, so
-// an upgraded daemon warm-starts from its old snapshot and rebuilds home
-// state from the log.
+// homes ("HGFLSNP\x00") and the audited store ("HGAUSNP\x00").
 
 package main
 
@@ -34,7 +31,6 @@ import (
 	"time"
 
 	"homeguard/internal/audit"
-	"homeguard/internal/extractcache"
 	"homeguard/internal/fleet"
 	"homeguard/internal/snapcodec"
 	"homeguard/internal/wal"
@@ -57,25 +53,25 @@ type ckptMetaJSON struct {
 	Verdicts bool `json:"verdicts"`
 }
 
-// saveCheckpoint writes the full daemon state to a temp file and
-// atomically renames it over path, then fsyncs the parent directory so
-// the rename itself is durable. The checkpoint LSN is read BEFORE any
-// state is captured: mutations precede their append under the same lock,
-// so every record at or below it is already reflected in the capture
+// saveCheckpoint writes the full daemon state, stamped with the
+// checkpoint LSN lsn, to a temp file and atomically renames it over
+// path, then fsyncs the parent directory so the rename itself is
+// durable. With a WAL, the caller reads lsn BEFORE any state is
+// captured: mutations precede their append under the same lock, so
+// every record at or below it is already reflected in the capture
 // (records appended during the capture may be partially reflected — the
 // per-entity watermarks make replay skip exactly what each entity
-// already holds).
-func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor) (uint64, error) {
-	lsn := l.LastLSN()
+// already holds). Without a WAL, lsn is 0.
+func saveCheckpoint(path string, lsn uint64, f *fleet.Fleet, aud *audit.Auditor) error {
 	tmp := path + ".tmp"
 	file, err := os.Create(tmp)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	fail := func(err error) (uint64, error) {
+	fail := func(err error) error {
 		file.Close()
 		os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	w := bufio.NewWriter(file)
 
@@ -117,90 +113,79 @@ func saveCheckpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor)
 	}
 	if err := file.Close(); err != nil {
 		os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	if err := os.Rename(tmp, path); err != nil {
 		os.Remove(tmp)
-		return 0, err
+		return err
 	}
 	// The rename is atomic but not durable until the directory entry is
 	// flushed; without this a crash can revive the previous checkpoint
 	// AFTER its covered segments were GC'd.
-	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
-		return 0, err
-	}
-	return lsn, nil
+	return wal.SyncDir(filepath.Dir(path))
 }
 
-// loadCheckpoint restores daemon state from path, returning the
-// checkpoint LSN. A missing file is a cold start (LSN 0, replay the
-// whole log). A legacy cache-only snapshot restores the caches and
-// leaves state to the replay. A checkpoint that fails mid-restore is
-// fatal: its covered log segments may already be collected, so serving
-// from partial state would silently drop acknowledged operations.
-func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) uint64 {
+// loadCheckpoint restores daemon state from path. A missing file is a
+// cold start (nothing restored). The whole file is verified before any section is applied,
+// so a damaged or truncated checkpoint restores nothing; what an error
+// means is the caller's policy.
+func loadCheckpoint(path string, f *fleet.Fleet, aud *audit.Auditor) error {
 	file, err := os.Open(path)
 	if err != nil {
 		if os.IsNotExist(err) {
-			log.Printf("homeguardd: no checkpoint at %s, recovering from the log alone", path)
-			return 0
+			log.Printf("homeguardd: no checkpoint at %s", path)
+			return nil
 		}
-		log.Fatalf("homeguardd: checkpoint open: %v", err)
+		return fmt.Errorf("checkpoint open: %w", err)
 	}
 	defer file.Close()
+	if err := snapcodec.Verify(bufio.NewReader(file)); err != nil {
+		return fmt.Errorf("checkpoint %s: %w", path, err)
+	}
+	if _, err := file.Seek(0, io.SeekStart); err != nil {
+		return fmt.Errorf("checkpoint %s: %w", path, err)
+	}
 	r := bufio.NewReader(file)
-	magic, err := snapcodec.PeekMagic(r)
-	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: %v", path, err)
-	}
-	if magic == extractcache.SnapshotMagic {
-		// Pre-WAL snapshot: caches only, nothing the log must skip.
-		loadCaches(r, path, f)
-		return 0
-	}
-	if magic != ckptMagic {
-		log.Fatalf("homeguardd: checkpoint %s: unrecognized magic %q", path, magic)
-	}
 
 	sr, err := snapcodec.NewReader(r, ckptMagic, ckptVersion)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: %v", path, err)
+		return fmt.Errorf("checkpoint %s: %w", path, err)
 	}
 	rec, err := sr.Next()
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: meta: %v", path, err)
+		return fmt.Errorf("checkpoint %s: meta: %w", path, err)
 	}
 	var meta ckptMetaJSON
 	if err := json.Unmarshal(rec, &meta); err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: meta: %v", path, err)
+		return fmt.Errorf("checkpoint %s: meta: %w", path, err)
 	}
 	if _, err := sr.Next(); err != io.EOF {
-		log.Fatalf("homeguardd: checkpoint %s: meta section not closed (err %v)", path, err)
+		return fmt.Errorf("checkpoint %s: meta section not closed (err %v)", path, err)
 	}
 	nx, err := f.Cache().Restore(r)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: extraction cache: %v", path, err)
+		return fmt.Errorf("checkpoint %s: extraction cache: %w", path, err)
 	}
 	nv := 0
 	if meta.Verdicts {
 		v := f.Verdicts()
 		if v == nil {
-			log.Fatalf("homeguardd: checkpoint %s has a verdict section but the cache is disabled", path)
+			return fmt.Errorf("checkpoint %s has a verdict section but the cache is disabled", path)
 		}
 		if nv, err = v.Restore(r); err != nil {
-			log.Fatalf("homeguardd: checkpoint %s: pair verdicts: %v", path, err)
+			return fmt.Errorf("checkpoint %s: pair verdicts: %w", path, err)
 		}
 	}
 	nh, err := f.RestoreHomes(r)
 	if err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: fleet homes: %v", path, err)
+		return fmt.Errorf("checkpoint %s: fleet homes: %w", path, err)
 	}
 	if err := aud.Restore(r); err != nil {
-		log.Fatalf("homeguardd: checkpoint %s: audit store: %v", path, err)
+		return fmt.Errorf("checkpoint %s: audit store: %w", path, err)
 	}
 	log.Printf("homeguardd: checkpoint restored from %s (lsn %d, %d extractions, %d pair verdicts, %d homes, store rev %d)",
 		path, meta.LSN, nx, nv, nh, aud.Rev())
-	return meta.LSN
+	return nil
 }
 
 // replayRecord dispatches one WAL record to its owner: audit-store
@@ -219,7 +204,12 @@ func (s *server) replayRecord(lsn uint64, kind byte, payload []byte) error {
 func bootRecover(srv *server, walDir, ckptPath string, opts wal.Options) *wal.Log {
 	start := time.Now()
 	sp := srv.obs.Tracer.Start("wal.recover")
-	loadCheckpoint(ckptPath, srv.fleet, srv.auditor)
+	// A checkpoint that cannot be restored is fatal here: its covered log
+	// segments may already be collected, so serving the log alone would
+	// silently drop acknowledged operations.
+	if err := loadCheckpoint(ckptPath, srv.fleet, srv.auditor); err != nil {
+		log.Fatalf("homeguardd: %v", err)
+	}
 	l, err := wal.Open(opts)
 	if err != nil {
 		log.Fatalf("homeguardd: wal open: %v", err)
@@ -250,8 +240,8 @@ func checkpoint(path string, l *wal.Log, f *fleet.Fleet, aud *audit.Auditor) err
 	if err := l.Err(); err != nil {
 		return fmt.Errorf("wal failed, not checkpointing: %w", err)
 	}
-	lsn, err := saveCheckpoint(path, l, f, aud)
-	if err != nil {
+	lsn := l.LastLSN()
+	if err := saveCheckpoint(path, lsn, f, aud); err != nil {
 		return err
 	}
 	removed, err := l.TruncateBefore(lsn + 1)

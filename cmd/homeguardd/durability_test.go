@@ -116,6 +116,36 @@ func TestDaemonCheckpointRecovery(t *testing.T) {
 	}
 }
 
+// TestDamagedCheckpointRestoresNothing: damage in the LAST section of a
+// checkpoint is caught before the earlier sections are applied, so a
+// daemon that serves on after the error (the no-WAL policy) serves a
+// clean cold state, not caches and homes from a file known to be bad.
+func TestDamagedCheckpointRestoresNothing(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "checkpoint")
+	srv := newServer(fleet.Options{Shards: 4})
+	if code, resp := doJSON(t, srv, "POST", "/homes/h1/install", map[string]any{"corpus": "ComfortTV"}); code != http.StatusOK {
+		t.Fatalf("install: status %d resp %v", code, resp)
+	}
+	if err := saveCheckpoint(path, 0, srv.fleet, srv.auditor); err != nil {
+		t.Fatal(err)
+	}
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[len(raw)-1] ^= 0x01 // the audit section's checksum trailer
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cold := newServer(fleet.Options{Shards: 4})
+	if err := loadCheckpoint(path, cold.fleet, cold.auditor); err == nil {
+		t.Fatal("damaged checkpoint loaded without an error")
+	}
+	if n, entries := cold.fleet.NumHomes(), cold.fleet.Metrics().Cache.Entries; n != 0 || entries != 0 {
+		t.Errorf("damaged checkpoint left %d homes and %d cache entries, want none", n, entries)
+	}
+}
+
 // TestGateRefusesUntilReady pins the recovery gate: while boot recovery
 // runs, API traffic is refused with 503 but the probes pass through, so
 // orchestrators see an honest "starting" instead of half-replayed state.

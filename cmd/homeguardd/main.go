@@ -68,7 +68,7 @@
 //
 // GET /healthz is liveness: 200 while the process can serve, 503 once a
 // graceful drain has begun. GET /readyz is readiness: 503 until the
-// checkpoint/snapshot restore and WAL replay (when configured) have
+// checkpoint restore and WAL replay (when configured) have
 // finished and the home shards are initialized, 200 while serving, and
 // 503 again during drain so load balancers pull the instance before
 // connections are forcibly closed. While recovering, every API route
@@ -117,31 +117,23 @@
 // position the checkpoint covers) followed by the extraction-cache,
 // pair-verdict, fleet-homes and auditor sections back to back, each in
 // the internal/snapcodec framing (8-byte magic, big-endian uint32
-// version, length-prefixed records, end sentinel, SHA-256 trailer) and
-// each rejecting version skew and damage with typed errors. A legacy
-// cache-only snapshot (pre-WAL format, bare "HGXCSNP\x00" first
-// section) is still recognized and restores the caches it has.
+// version, length-prefixed records, end sentinel, SHA-256 trailer).
+// The whole file is checksum-verified before any section is applied,
+// and each section rejects version skew and damage with typed errors.
 //
-// # Warm-start snapshots
+// # Checkpoint without a WAL
 //
-// -snapshot-path alone (without -wal-dir) keeps the original
-// cache-only warm-start mode: on boot the daemon restores the
-// extraction cache and the pair-verdict cache from the named file (a missing file is a normal cold start; a corrupt or
-// version-skewed file is logged and ignored), and on graceful shutdown
-// (SIGINT/SIGTERM) it writes a fresh snapshot to a temp file and
-// atomically renames it into place. A restarted daemon therefore serves
-// its first install storm at warm-cache latency — repeat installs of a
-// snapshotted catalog run symexec zero times and hit solved pair
-// verdicts instead of invoking the solver.
-//
-// The snapshot file is two self-contained sections back to back, one per
-// cache, each in the internal/snapcodec framing: an 8-byte magic
-// ("HGXCSNP\x00" for extractions, "HGPVSNP\x00" for pair verdicts), a
-// big-endian uint32 format version, a stream of length-prefixed records
-// (32-byte content-address key followed by the JSON payload), a
-// 0xFFFFFFFF end sentinel, and a SHA-256 checksum of the whole section.
-// Restore rejects unknown versions and checksum mismatches with typed
-// errors rather than loading garbage.
+// -snapshot-path alone (without -wal-dir) keeps the same checkpoint
+// file with no log behind it: on graceful shutdown (SIGINT/SIGTERM) the
+// daemon writes a checkpoint at LSN 0 to a temp file and atomically
+// renames it into place, and on boot it restores it. A missing file is
+// a normal cold start; a corrupt or version-skewed file is logged and
+// the daemon serves cold. A gracefully restarted daemon therefore keeps
+// its homes and store and serves its first install storm at warm-cache
+// latency — repeat installs of a checkpointed catalog run symexec zero
+// times and hit solved pair verdicts instead of invoking the solver. A
+// crash loses everything since the last graceful shutdown; -wal-dir
+// closes that window.
 //
 // -pprof-addr, when set, serves Go's net/http/pprof profiling endpoints
 // (/debug/pprof/...) on a SEPARATE listener so profiling is never exposed
@@ -154,39 +146,12 @@
 // The endpoints are off by default; an empty -pprof-addr starts no
 // profiling listener at all.
 //
-// HTTP API (every error body is the shared envelope
-// {"error": {"code": "...", "message": "..."}} with the code drawn from
-// the gRPC vocabulary — the same envelope the RPC transport carries):
+// # HTTP API
 //
-//	POST /homes/{id}/install        body {"source": "..."} or {"corpus": "AppName"},
-//	                                optional "config"; returns the install
-//	                                result (rules, threats, chains, report)
-//	POST /homes/{id}/install-batch  body {"items": [{"corpus": ...}, ...]};
-//	                                installs in order with parallel
-//	                                extraction prewarm; per-item results
-//	POST /homes/{id}/reconfigure    body {"app": "AppName", "config": {...}};
-//	                                returns threats under the new config;
-//	                                omitting config keeps the current one
-//	POST /homes/{id}/accept         body {"threats": [0, 2]} — accept
-//	                                threats by log index so later installs
-//	                                report chains through them (Sec. VI-D)
-//	GET  /homes/{id}/threats        every threat reported for the home;
-//	                                ?active=true returns the incremental
-//	                                ledger's CURRENT set instead (latest
-//	                                verdict per app pair — reconfigure-
-//	                                resolved threats gone; entries carry no
-//	                                log indices)
-//	GET  /homes/{id}/apps           installed app names
-//	POST /store/apps                body {"upserts": [{"corpus"|"source": ...,
-//	                                "name": ..., "config": ...}],
-//	                                "removes": ["AppName"]}; applies one
-//	                                batch to the incremental store auditor
-//	                                and returns the revision with its
-//	                                added/resolved findings delta
-//	GET  /store/findings            store findings feed; ?since=<rev>
-//	                                returns the delta after that revision
-//	                                (or a reset snapshot when the revision
-//	                                aged out of the retained history)
+// The API routes (/homes/{id}/..., /store/...) are the rpc.RegisterHTTP
+// adapter over the same rpc.Service the RPC edge serves; its doc holds
+// the route table. The daemon adds its own routes beside them:
+//
 //	GET  /metrics                   fleet metrics: homes, installs,
 //	                                extraction and pair-verdict cache hit
 //	                                rates, footprint-prune and solver-call
@@ -196,26 +161,15 @@
 //	GET  /debug/requests            slow-request capture: slowest + most
 //	                                recent traced span trees (JSON)
 //	GET  /healthz                   liveness probe (503 while draining)
-//	GET  /readyz                    readiness probe (503 before the snapshot
-//	                                restore completes and while draining)
-//
-// The config object has four optional maps:
-//
-//	{
-//	  "devices":     {"inputName": "device-id"},
-//	  "values":      {"inputName": "string or number or bool"},
-//	  "valueLists":  {"inputName": ["a", "b"]},
-//	  "deviceTypes": {"inputName": "heater"}
-//	}
+//	GET  /readyz                    readiness probe (503 before the
+//	                                checkpoint restore completes and while
+//	                                draining)
 package main
 
 import (
-	"bufio"
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"log"
 	"log/slog"
 	"net"
@@ -224,12 +178,10 @@ import (
 	"os"
 	"os/signal"
 	"path/filepath"
-	"strconv"
 	"sync/atomic"
 	"syscall"
 	"time"
 
-	"homeguard/internal/api"
 	"homeguard/internal/audit"
 	"homeguard/internal/events"
 	"homeguard/internal/fleet"
@@ -237,11 +189,6 @@ import (
 	"homeguard/internal/rpc"
 	"homeguard/internal/wal"
 )
-
-// maxBodyBytes caps request bodies (SmartApp sources are a few KB; 4 MiB
-// leaves generous headroom while keeping one request from exhausting the
-// daemon's memory).
-const maxBodyBytes = 4 << 20
 
 func main() {
 	addr := flag.String("addr", ":8080", "HTTP listen address")
@@ -253,11 +200,11 @@ func main() {
 	pprofAddr := flag.String("pprof-addr", "",
 		"optional address for net/http/pprof profiling endpoints (empty = disabled); bind to localhost")
 	snapshotPath := flag.String("snapshot-path", "",
-		"optional warm-start snapshot file: restored on boot, written on graceful shutdown (empty = disabled; with -wal-dir, defaults to <wal-dir>/checkpoint and holds the full-state checkpoint)")
+		"checkpoint file holding the full daemon state: restored on boot, written on graceful shutdown and, with -wal-dir, by the background checkpointer (empty = disabled; with -wal-dir, defaults to <wal-dir>/checkpoint)")
 	walDir := flag.String("wal-dir", "",
 		"write-ahead-log directory: every mutation is logged before acknowledgment and replayed on boot (empty = durability off)")
 	fsyncMode := flag.String("fsync", "always",
-		`WAL fsync policy: "always" (fsync before every acknowledgment), "interval" (background fsync every 100ms; a crash may lose the last interval), "off" (no fsync; a crash may lose OS-buffered records)`)
+		`WAL fsync policy: "always" (fsync before every acknowledgment), "interval" (background fsync every 50ms; a crash may lose the last interval), "off" (no fsync; a crash may lose OS-buffered records)`)
 	checkpointInterval := flag.Duration("checkpoint-interval", time.Minute,
 		"how often the background checkpointer persists full state and collects covered WAL segments (0 = checkpoint only on graceful shutdown)")
 	logFormat := flag.String("log-format", "text",
@@ -320,12 +267,17 @@ func main() {
 	// /readyz see 503 "starting" (not connection refused) for the whole
 	// checkpoint restore + WAL replay, and flip to 200 the moment the
 	// recovered state serves. The gate refuses API traffic until then —
-	// a request served against half-replayed state would be a lie.
+	// a request served against half-replayed state would be a lie. The
+	// port is bound synchronously, so a collision fails the boot before
+	// recovery or the RPC edge starts, with the OS error in the message.
 	//
 	// Explicit timeouts: the default zero-timeout server lets stalled
 	// peers hold connections (and their goroutines) forever.
+	lis, err := net.Listen("tcp", *addr)
+	if err != nil {
+		log.Fatalf("homeguardd: listen: %v", err)
+	}
 	hs := &http.Server{
-		Addr:              *addr,
 		Handler:           srv.gate(srv.mux),
 		ReadHeaderTimeout: 10 * time.Second,
 		ReadTimeout:       30 * time.Second,
@@ -333,7 +285,7 @@ func main() {
 		IdleTimeout:       120 * time.Second,
 	}
 	errCh := make(chan error, 1)
-	go func() { errCh <- hs.ListenAndServe() }()
+	go func() { errCh <- hs.Serve(lis) }()
 	log.Printf("homeguardd: fleet daemon listening on %s", *addr)
 
 	var wlog *wal.Log
@@ -344,7 +296,11 @@ func main() {
 			Registry: srv.obs.Registry,
 		})
 	} else if *snapshotPath != "" {
-		loadSnapshot(*snapshotPath, srv.fleet)
+		// Without a log the checkpoint is the only copy of the state, and
+		// a damaged one must not stop the daemon from serving.
+		if err := loadCheckpoint(*snapshotPath, srv.fleet, srv.auditor); err != nil {
+			log.Printf("homeguardd: %v; starting cold", err)
+		}
 	}
 	srv.markReady()
 
@@ -415,8 +371,10 @@ func main() {
 			log.Printf("homeguardd: wal close: %v", err)
 		}
 	} else if *snapshotPath != "" {
-		if err := saveSnapshot(*snapshotPath, srv.fleet); err != nil {
-			log.Printf("homeguardd: snapshot save failed: %v", err)
+		if err := saveCheckpoint(*snapshotPath, 0, srv.fleet, srv.auditor); err != nil {
+			log.Printf("homeguardd: checkpoint save failed: %v", err)
+		} else {
+			log.Printf("homeguardd: checkpoint written to %s", *snapshotPath)
 		}
 	}
 	// Last: drain the buffered events so a graceful restart loses none.
@@ -425,102 +383,6 @@ func main() {
 			log.Printf("homeguardd: event sink close: %v", err)
 		}
 	}
-}
-
-// saveSnapshot writes both caches' sections to a temp file and atomically
-// renames it over path, so a crash mid-write can never leave a truncated
-// snapshot where the next boot will find it.
-func saveSnapshot(path string, f *fleet.Fleet) error {
-	tmp := path + ".tmp"
-	file, err := os.Create(tmp)
-	if err != nil {
-		return err
-	}
-	w := bufio.NewWriter(file)
-	nx, err := f.Cache().Snapshot(w)
-	if err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	nv := 0
-	if v := f.Verdicts(); v != nil {
-		if nv, err = v.Snapshot(w); err != nil {
-			file.Close()
-			os.Remove(tmp)
-			return err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := file.Sync(); err != nil {
-		file.Close()
-		os.Remove(tmp)
-		return err
-	}
-	if err := file.Close(); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		os.Remove(tmp)
-		return err
-	}
-	// Fsyncing the temp file makes the CONTENT durable; the rename that
-	// publishes it lives in the parent directory, which has its own write
-	// cache. Without the directory sync a crash shortly after a clean
-	// shutdown can boot with the previous snapshot — or none at all.
-	if err := wal.SyncDir(filepath.Dir(path)); err != nil {
-		return err
-	}
-	log.Printf("homeguardd: snapshot saved to %s (%d extractions, %d pair verdicts)", path, nx, nv)
-	return nil
-}
-
-// loadSnapshot restores both caches from path. Every failure mode — no
-// file yet, version skew, corruption — degrades to a cold (or partially
-// warm) start with a log line; a damaged snapshot must never stop the
-// daemon from serving.
-func loadSnapshot(path string, f *fleet.Fleet) {
-	file, err := os.Open(path)
-	if err != nil {
-		if os.IsNotExist(err) {
-			log.Printf("homeguardd: no snapshot at %s, starting cold", path)
-		} else {
-			log.Printf("homeguardd: snapshot open failed, starting cold: %v", err)
-		}
-		return
-	}
-	defer file.Close()
-	loadCaches(bufio.NewReader(file), path, f)
-}
-
-// loadCaches restores the extraction and pair-verdict cache sections
-// from r — the body of a legacy snapshot, also embedded in the WAL-mode
-// checkpoint format.
-func loadCaches(r *bufio.Reader, path string, f *fleet.Fleet) {
-	nx, err := f.Cache().Restore(r)
-	if err != nil {
-		log.Printf("homeguardd: extraction-cache restore failed (%d entries kept): %v", nx, err)
-		return
-	}
-	nv := 0
-	if v := f.Verdicts(); v != nil {
-		// An older snapshot (or one from a verdict-less config) may end
-		// after the extraction section.
-		if _, err := r.Peek(1); err == io.EOF {
-			log.Printf("homeguardd: snapshot restored from %s (%d extractions, no verdict section)", path, nx)
-			return
-		}
-		if nv, err = v.Restore(r); err != nil {
-			log.Printf("homeguardd: pair-verdict restore failed (%d verdicts kept): %v", nv, err)
-			return
-		}
-	}
-	log.Printf("homeguardd: snapshot restored from %s (%d extractions, %d pair verdicts)", path, nx, nv)
 }
 
 // servePprof runs the profiling listener. A dedicated mux (rather than
@@ -553,7 +415,7 @@ type server struct {
 	svc     *rpc.Service
 	obs     *obs.Observer
 	mux     *http.ServeMux
-	// ready flips true once boot (including any snapshot restore) is
+	// ready flips true once boot (including any checkpoint restore) is
 	// complete; draining flips true when graceful shutdown begins. Both
 	// are read by the health probes on every scrape.
 	ready    atomic.Bool
@@ -592,14 +454,7 @@ func newServer(opts fleet.Options) *server {
 		obs:     opts.Obs,
 		mux:     http.NewServeMux(),
 	}
-	s.mux.HandleFunc("POST /homes/{id}/install", s.handleInstall)
-	s.mux.HandleFunc("POST /homes/{id}/install-batch", s.handleInstallBatch)
-	s.mux.HandleFunc("POST /homes/{id}/reconfigure", s.handleReconfigure)
-	s.mux.HandleFunc("POST /homes/{id}/accept", s.handleAccept)
-	s.mux.HandleFunc("GET /homes/{id}/threats", s.handleThreats)
-	s.mux.HandleFunc("GET /homes/{id}/apps", s.handleApps)
-	s.mux.HandleFunc("POST /store/apps", s.handleStoreApps)
-	s.mux.HandleFunc("GET /store/findings", s.handleStoreFindings)
+	rpc.RegisterHTTP(s.mux, s.svc)
 	s.mux.HandleFunc("GET /metrics", s.handleMetrics)
 	s.mux.HandleFunc("GET /debug/requests", s.handleDebugRequests)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -607,7 +462,7 @@ func newServer(opts fleet.Options) *server {
 	return s
 }
 
-// markReady is called once boot completes (after the optional snapshot
+// markReady is called once boot completes (after the optional checkpoint
 // restore); /readyz answers 503 until then.
 func (s *server) markReady() { s.ready.Store(true) }
 
@@ -649,92 +504,6 @@ func (s *server) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// ---------- handlers ----------
-//
-// Every handler is the same four lines: decode the api DTO, stamp the
-// home from the path, dispatch into the shared service core, write the
-// outcome. Parsing, validation, error mapping and response shaping all
-// live in internal/api and internal/rpc — the per-handler ad-hoc
-// versions this replaces could (and did) drift.
-
-func (s *server) handleInstall(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Install(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleInstallBatch(w http.ResponseWriter, r *http.Request) {
-	var req api.InstallBatchRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.InstallBatch(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleReconfigure(w http.ResponseWriter, r *http.Request) {
-	var req api.ReconfigureRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Reconfigure(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleAccept(w http.ResponseWriter, r *http.Request) {
-	var req api.AcceptRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	req.Home = r.PathValue("id")
-	resp, aerr := s.svc.Accept(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleThreats(w http.ResponseWriter, r *http.Request) {
-	v := r.URL.Query().Get("active")
-	req := api.ThreatsRequest{
-		Home:   r.PathValue("id"),
-		Active: v == "true" || v == "1",
-	}
-	resp, aerr := s.svc.Threats(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleApps(w http.ResponseWriter, r *http.Request) {
-	resp, aerr := s.svc.Apps(r.Context(), r.PathValue("id"))
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleStoreApps(w http.ResponseWriter, r *http.Request) {
-	var req api.SubmitAppsRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	resp, aerr := s.svc.SubmitApps(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
-func (s *server) handleStoreFindings(w http.ResponseWriter, r *http.Request) {
-	var req api.FindingsRequest
-	if v := r.URL.Query().Get("since"); v != "" {
-		since, err := strconv.ParseUint(v, 10, 64)
-		if err != nil {
-			s.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad since revision %q", v))
-			return
-		}
-		req.Since = since
-	}
-	resp, aerr := s.svc.Findings(r.Context(), &req)
-	s.respond(w, resp, aerr)
-}
-
 func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	if r.URL.Query().Get("format") == "prometheus" {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
@@ -748,7 +517,7 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	for k, v := range m.ThreatsByKind {
 		kinds[string(k)] = v
 	}
-	writeJSON(w, http.StatusOK, map[string]any{
+	rpc.RespondHTTP(w, map[string]any{
 		"homes":            m.Homes,
 		"installs":         m.Installs,
 		"installErrors":    m.InstallErrors,
@@ -788,45 +557,12 @@ func (s *server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// Circuit-breaker states of the service core's pipeline stages.
 		"breakerExtract": s.svc.BreakerState(rpc.StageExtract),
 		"breakerDetect":  s.svc.BreakerState(rpc.StageDetect),
-	})
+	}, nil)
 }
 
 // handleDebugRequests serves the slow-request capture: span trees for
 // the slowest and most recent traced requests. Empty (total 0) until
 // tracing is enabled with -trace-slow-ms.
 func (s *server) handleDebugRequests(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, s.obs.Capture.Snapshot())
-}
-
-// ---------- helpers ----------
-
-// decode unmarshals a JSON request body, answering the shared envelope
-// with INVALID_ARGUMENT (400) on malformed input. It reports whether
-// the handler should proceed.
-func (s *server) decode(w http.ResponseWriter, r *http.Request, into any) bool {
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(into); err != nil {
-		s.respond(w, nil, api.Errorf(api.CodeInvalidArgument, "bad request body: %v", err))
-		return false
-	}
-	return true
-}
-
-// respond writes either the success body or the error envelope, with
-// the HTTP status derived from the envelope's code.
-func (s *server) respond(w http.ResponseWriter, v any, aerr *api.Error) {
-	if aerr != nil {
-		writeJSON(w, aerr.Code.HTTPStatus(), map[string]any{"error": aerr})
-		return
-	}
-	writeJSON(w, http.StatusOK, v)
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(v); err != nil {
-		log.Printf("homeguardd: encode response: %v", err)
-	}
+	rpc.RespondHTTP(w, s.obs.Capture.Snapshot(), nil)
 }

@@ -26,7 +26,7 @@ const storeKey = "@store"
 const resyncTimeout = 30 * time.Second
 
 // router is the gateway's brain: it implements rpc.Backend — so the
-// unmodified HGRPC server and the HTTP handlers in main.go both
+// unmodified HGRPC server and the rpc.RegisterHTTP routes both
 // dispatch into it — and forwards every request to the owning node via
 // pooled clients, with per-node circuit breakers, the cluster retry
 // policy, and journal-based failover re-adoption.

@@ -236,20 +236,22 @@
 //     /homes/{id}/threats?active=true) serves that live view, while
 //     Threats remains the append-only history.
 //
-//   - Persistent warm-start snapshots. Both fleet-level caches persist:
-//     Snapshot/Restore on the extraction cache and the pair-verdict cache
-//     write a versioned, length-prefixed, SHA-256-checksummed binary
-//     stream (internal/snapcodec), and homeguardd's -snapshot-path wires
-//     them to load-on-boot and save-on-shutdown (atomic rename). A
-//     restarted daemon therefore serves a repeat install storm of its
-//     catalog with a ≥0.99 extraction-cache hit ratio and zero re-solved
-//     pair verdicts, instead of re-extracting the world. Version skew and
-//     corruption are rejected with typed errors and degrade to a cold
-//     start, never to loaded garbage.
+//   - Persistent warm-start checkpoints. The daemon's whole state —
+//     both fleet-level caches, every home, the store auditor — persists
+//     as one checkpoint file of versioned, length-prefixed,
+//     SHA-256-checksummed sections (internal/snapcodec). homeguardd's
+//     -snapshot-path restores it on boot and, without a WAL, rewrites
+//     it on graceful shutdown (atomic rename). A restarted daemon
+//     therefore keeps its homes and serves a repeat install storm of
+//     its catalog with a ≥0.99 extraction-cache hit ratio and zero
+//     re-solved pair verdicts, instead of re-extracting the world. The
+//     file's checksums are verified before any section is applied, and
+//     version skew is rejected with a typed error: damage degrades to a
+//     cold start, never to loaded garbage.
 //
 // # Durability
 //
-// Warm-start snapshots only persist on graceful shutdown; the
+// Checkpoints without a WAL persist only on graceful shutdown; the
 // write-ahead log (internal/wal) closes the crash window. A fleet or
 // store auditor given a wal.Log (Fleet.AttachWAL, Auditor.AttachWAL)
 // appends one logical operation record — install, reconfigure, threat

@@ -28,8 +28,8 @@ import (
 
 // Snapshot format identity for the audit-store section.
 const (
-	auditSnapshotMagic   = "HGAUSNP\x00"
-	auditSnapshotVersion = 1
+	snapshotMagic   = "HGAUSNP\x00"
+	snapshotVersion = 1
 )
 
 type auditMetaJSON struct {
@@ -103,7 +103,7 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 
-	sw, err := snapcodec.NewWriter(w, auditSnapshotMagic, auditSnapshotVersion)
+	sw, err := snapcodec.NewWriter(w, snapshotMagic, snapshotVersion)
 	if err != nil {
 		return fmt.Errorf("audit: snapshot: %w", err)
 	}
@@ -190,7 +190,7 @@ func (a *Auditor) Restore(r io.Reader) error {
 		return fmt.Errorf("audit: restore: auditor is not empty (rev %d, %d apps)", a.rev, len(a.order))
 	}
 
-	sr, err := snapcodec.NewReader(r, auditSnapshotMagic, auditSnapshotVersion)
+	sr, err := snapcodec.NewReader(r, snapshotMagic, snapshotVersion)
 	if err != nil {
 		return fmt.Errorf("audit: restore: %w", err)
 	}

@@ -31,8 +31,8 @@ import (
 
 // Snapshot format identity for the fleet-homes section.
 const (
-	homesSnapshotMagic   = "HGFLSNP\x00"
-	homesSnapshotVersion = 1
+	homesMagic   = "HGFLSNP\x00"
+	homesVersion = 1
 )
 
 type homesMetaJSON struct {
@@ -97,7 +97,7 @@ func (f *Fleet) SnapshotHomes(w io.Writer) (int, error) {
 		homeRecs = append(homeRecs, rec)
 	}
 
-	sw, err := snapcodec.NewWriter(w, homesSnapshotMagic, homesSnapshotVersion)
+	sw, err := snapcodec.NewWriter(w, homesMagic, homesVersion)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: snapshot: %w", err)
 	}
@@ -189,7 +189,7 @@ func (h *home) encodeUnderLock(tableIdx map[*rule.RuleSet]int, table *[][]byte, 
 // time. Restoring into a fleet that already has one of the snapshot's
 // homes populated is an error (restore is a boot-time operation).
 func (f *Fleet) RestoreHomes(r io.Reader) (int, error) {
-	sr, err := snapcodec.NewReader(r, homesSnapshotMagic, homesSnapshotVersion)
+	sr, err := snapcodec.NewReader(r, homesMagic, homesVersion)
 	if err != nil {
 		return 0, fmt.Errorf("fleet: restore: %w", err)
 	}

@@ -26,10 +26,11 @@ type ServerOptions struct {
 	Obs *obs.Observer
 }
 
-// Backend is the method set the server dispatches to. *Service is the
-// canonical implementation (one fleet, local breakers); cmd/homeguardgw
-// implements it as a router, so the gateway serves the exact HGRPC edge
-// a single node does while proxying each call to the owning node.
+// Backend is the method set the server and the RegisterHTTP routes
+// dispatch to. *Service is the canonical implementation (one fleet,
+// local breakers); cmd/homeguardgw implements it as a router, so the
+// gateway serves the exact HGRPC and HTTP edges a single node does while
+// proxying each call to the owning node.
 type Backend interface {
 	Install(ctx context.Context, req *api.InstallRequest) (*api.InstallResponse, *api.Error)
 	InstallBatch(ctx context.Context, req *api.InstallBatchRequest) (*api.InstallBatchResponse, *api.Error)

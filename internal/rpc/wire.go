@@ -1,7 +1,8 @@
-// Package rpc is HomeGuard's gRPC enforcement edge: the framed
-// request/response transport cmd/homeguardd serves alongside HTTP, the
-// per-stage circuit breakers that shed load when extraction or
-// detection degrades, and the service core both transports share.
+// Package rpc is HomeGuard's enforcement edge: the framed gRPC-modeled
+// request/response transport, the HTTP/JSON adapter (RegisterHTTP) the
+// daemon and the gateway serve alongside it, the per-stage circuit
+// breakers that shed load when extraction or detection degrades, and
+// the service core both transports share.
 //
 // # Protocol
 //
@@ -20,7 +21,7 @@
 //
 //	[type:1][stream id:8 BE][payload length:4 BE][payload]
 //
-// with payloads capped at 4 MiB (the daemon's HTTP body cap). Frame
+// with payloads capped at 4 MiB (the HTTP body cap). Frame
 // types:
 //
 //	REQ (1) — opens stream id with {"method","deadlineMs","body"};
@@ -61,8 +62,8 @@ const (
 // connecting.
 const Preface = "HGRPC/1\x00"
 
-// maxFrame caps frame payloads, mirroring the daemon's HTTP body cap.
-const maxFrame = 4 << 20
+// maxFrame caps frame payloads, mirroring the HTTP body cap.
+const maxFrame = maxBodyBytes
 
 // frame is one wire frame.
 type frame struct {

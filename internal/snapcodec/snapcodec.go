@@ -1,11 +1,11 @@
 // Package snapcodec is the shared binary framing for persistent
-// warm-start snapshots: a magic+version header, a stream of
-// length-prefixed records, and a SHA-256 checksum trailer covering every
-// byte written before it. The extraction cache and the pair-verdict cache
-// both persist through it (each with its own magic and record payloads),
-// and homeguardd concatenates their sections into one snapshot file —
-// the codec never reads past its own trailer, so sections compose on a
-// plain io.Reader.
+// snapshots: a magic+version header, a stream of length-prefixed
+// records, and a SHA-256 checksum trailer covering every byte written
+// before it. The extraction cache, the pair-verdict cache, the fleet
+// homes and the store auditor all persist through it (each with its own
+// magic and record payloads), and homeguardd concatenates their
+// sections into one checkpoint file — the codec never reads past its own
+// trailer, so sections compose on a plain io.Reader.
 //
 // Layout:
 //
@@ -116,22 +116,31 @@ func (sw *Writer) write(b []byte) {
 	sw.h.Write(b)
 }
 
-// Peeker is the subset of *bufio.Reader PeekMagic needs.
-type Peeker interface {
-	Peek(n int) ([]byte, error)
-}
-
-// PeekMagic returns the 8-byte section magic at the reader's current
-// position without consuming it, so a multi-section snapshot loader can
-// dispatch on what the file actually starts with (e.g. a checkpoint's
-// meta section vs. a legacy cache-only snapshot). A stream shorter than a
-// magic fails with ErrCorrupt.
-func PeekMagic(r Peeker) (string, error) {
-	b, err := r.Peek(magicLen)
-	if err != nil {
-		return "", fmt.Errorf("%w: short magic: %v", ErrCorrupt, err)
+// Verify reads sections of any magic and version back to back until r
+// is exhausted, checking each one's framing and checksum without
+// decoding a record. A loader that applies records as it reads them runs
+// Verify over the stream first, so damage anywhere in a multi-section
+// file is refused before any of it is applied.
+func Verify(r io.Reader) error {
+	for {
+		var hdr [magicLen + 4]byte
+		if _, err := io.ReadFull(r, hdr[:]); err == io.EOF {
+			return nil
+		} else if err != nil {
+			return fmt.Errorf("%w: short header: %v", ErrCorrupt, err)
+		}
+		sr := &Reader{r: r, h: sha256.New()}
+		sr.h.Write(hdr[:])
+		for {
+			_, err := sr.Next()
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				return err
+			}
+		}
 	}
-	return string(b), nil
 }
 
 // Reader consumes one snapshot section written by Writer.

@@ -102,3 +102,39 @@ func TestOversizedRecordRejected(t *testing.T) {
 		t.Fatalf("oversized record: %v, want ErrCorrupt", err)
 	}
 }
+
+// TestVerify: a stream of intact sections verifies whatever their magic
+// and version, and flipping any one byte or cutting the stream short
+// inside a section is refused as ErrCorrupt.
+func TestVerify(t *testing.T) {
+	var buf bytes.Buffer
+	boundary := map[int]bool{}
+	for i, magic := range []string{"SECTONE\x00", "SECTTWO\x00"} {
+		boundary[buf.Len()] = true
+		w, err := NewWriter(&buf, magic, uint32(i+1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		w.Record([]byte("alpha"))
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	raw := buf.Bytes()
+	if err := Verify(bytes.NewReader(raw)); err != nil {
+		t.Fatalf("intact stream: %v", err)
+	}
+	for i := range raw {
+		bad := bytes.Clone(raw)
+		bad[i] ^= 0x20
+		if err := Verify(bytes.NewReader(bad)); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("byte %d flipped: %v, want ErrCorrupt", i, err)
+		}
+		if boundary[i] {
+			continue // a whole number of sections is a valid stream
+		}
+		if err := Verify(bytes.NewReader(raw[:i])); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("cut at %d: %v, want ErrCorrupt", i, err)
+		}
+	}
+}
