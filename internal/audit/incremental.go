@@ -21,12 +21,34 @@ package audit
 // of the bounded history. The full active set (Findings) is byte-identical
 // to a from-scratch Run over the current store, pinned by the churn
 // property test in incremental_test.go.
+//
+// Steady-state memory. A churn revision re-checks hundreds of pairs, and
+// whatever it allocates is garbage by the next one, so the collector's
+// cost lands on revision latency. Three rules keep a revision lean:
+//
+//   - Per-pair state is cleared, not accumulated. The worker detectors
+//     live as long as the auditor, and every pair check starts by
+//     clearing the detector's solver cache and enum-input options (they
+//     are rule-pair-scoped by design; see detect.DetectAppPair), so a
+//     detector holds one pair's state at a time and an app re-upserted
+//     under the same name never meets a stale entry.
+//   - Scratch is sized to the batch. The task list, the per-task results
+//     and the findings-delta buffers (applyScratch) are reused across
+//     revisions and cleared after each; a bulk batch that grows them past
+//     a churn batch's needs (the store build) has them dropped, not kept.
+//     Tables are keyed by index slot (pairKey), not by app-name pairs, and
+//     the delta is ordered by sorting small index records.
+//   - Solver problems are reused. Each worker detector Resets one
+//     solver.Problem per query instead of building a fresh one, and
+//     checks whose witness nobody reads ask the solver for the verdict
+//     alone.
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -125,19 +147,44 @@ type AuditorOptions struct {
 }
 
 // storeApp is one installed store entry: the compiled app, its index
-// slot and its position in the store (install) order.
+// slot, its position in the store (install) order, and the slots of the
+// apps it currently has findings with.
 type storeApp struct {
 	name string
 	app  *detect.InstalledApp
 	slot int
 	pos  int
+	// peers is the app's row of the verdict table's adjacency: the slot of
+	// every app it shares a verdict with (its own slot for the intra
+	// pair), so invalidation walks O(degree) entries. It mirrors verdicts
+	// exactly: a pair is in both peers lists iff it has a verdict.
+	peers []int32
 }
 
-// pairID addresses one app pair by name, earlier-installed side first
-// (a == b for the intra-app pair). Relative store order never changes
-// while both apps stay installed — removals splice positions but keep
-// order — so a pair's orientation is stable for the verdict's lifetime.
-type pairID struct{ a, b string }
+// pairKey addresses one app pair by index slot, lower slot first (both
+// halves equal for the intra-app pair). A slot is stable while its app
+// stays installed — updates keep it, and a removed app's pairs all
+// resolve before its slot is freed for reuse — so the key is valid for
+// the verdict's lifetime. Which side is earlier-installed is read off
+// the two apps' positions when a finding is emitted: relative store order
+// never changes while both apps stay installed.
+type pairKey uint64
+
+func keyOf(x, y *storeApp) pairKey {
+	lo, hi := x.slot, y.slot
+	if lo > hi {
+		lo, hi = hi, lo
+	}
+	return pairKey(uint64(lo)<<32 | uint64(hi))
+}
+
+// ordered returns the pair's two apps, earlier-installed first.
+func ordered(x, y *storeApp) (*storeApp, *storeApp) {
+	if y.pos < x.pos {
+		return y, x
+	}
+	return x, y
+}
 
 // Auditor is the long-lived incremental store auditor. All methods are
 // goroutine-safe; Apply calls serialize, with the pair checks of one
@@ -155,10 +202,14 @@ type Auditor struct {
 	order  []*storeApp // store (install) order; pos fields mirror indices
 
 	// verdicts holds the current threats of every pair that HAS threats
-	// (clean pairs are absent — the delta diff treats missing as empty),
-	// and pairsOf is its per-app adjacency for O(degree) invalidation.
-	verdicts map[pairID][]detect.Threat
-	pairsOf  map[string]map[string]struct{}
+	// (clean pairs are absent — the delta diff treats missing as empty);
+	// the storeApps' peers lists are its adjacency.
+	verdicts map[pairKey][]detect.Threat
+
+	// dets are the pair-check worker detectors, one per worker, and scr
+	// the per-revision work lists; both live across revisions.
+	dets []*detect.Detector
+	scr  applyScratch
 
 	rev     uint64
 	history []*Revision
@@ -186,8 +237,7 @@ func NewAuditor(opts AuditorOptions) *Auditor {
 		idx:      detect.NewFootprintIndex(),
 		compiler: detect.New(opts.Detector),
 		byName:   map[string]*storeApp{},
-		verdicts: map[pairID][]detect.Threat{},
-		pairsOf:  map[string]map[string]struct{}{},
+		verdicts: map[pairKey][]detect.Threat{},
 	}
 }
 
@@ -216,79 +266,140 @@ func (a *Auditor) ActiveFindings() int {
 	return a.active
 }
 
-// pairIDOf orients a pair by store position.
-func pairIDOf(x, y *storeApp) pairID {
-	if x == y {
-		return pairID{x.name, x.name}
-	}
-	if x.pos < y.pos {
-		return pairID{x.name, y.name}
-	}
-	return pairID{y.name, x.name}
-}
-
-// notePair records id in the adjacency (both directions, self for intra).
-func (a *Auditor) notePair(id pairID) {
-	set := a.pairsOf[id.a]
-	if set == nil {
-		set = map[string]struct{}{}
-		a.pairsOf[id.a] = set
-	}
-	set[id.b] = struct{}{}
-	if id.b != id.a {
-		set = a.pairsOf[id.b]
-		if set == nil {
-			set = map[string]struct{}{}
-			a.pairsOf[id.b] = set
-		}
-		set[id.a] = struct{}{}
-	}
-}
-
-// dropPair forgets id's verdict and adjacency entries.
-func (a *Auditor) dropPair(id pairID) {
-	delete(a.verdicts, id)
-	if s := a.pairsOf[id.a]; s != nil {
-		delete(s, id.b)
-		if len(s) == 0 {
-			delete(a.pairsOf, id.a)
+// setVerdict records a pair's threats, linking the adjacency when the
+// pair had no verdict yet.
+func (a *Auditor) setVerdict(x, y *storeApp, ts []detect.Threat) {
+	k := keyOf(x, y)
+	if _, had := a.verdicts[k]; !had {
+		x.peers = append(x.peers, int32(y.slot))
+		if y != x {
+			y.peers = append(y.peers, int32(x.slot))
 		}
 	}
-	if id.b != id.a {
-		if s := a.pairsOf[id.b]; s != nil {
-			delete(s, id.a)
-			if len(s) == 0 {
-				delete(a.pairsOf, id.b)
+	a.verdicts[k] = ts
+}
+
+// dropVerdict forgets a pair's verdict and its adjacency entries,
+// returning the threats it held.
+func (a *Auditor) dropVerdict(x, y *storeApp) []detect.Threat {
+	k := keyOf(x, y)
+	ts, had := a.verdicts[k]
+	if !had {
+		return nil
+	}
+	delete(a.verdicts, k)
+	x.peers = removeSlot(x.peers, y.slot)
+	if y != x {
+		y.peers = removeSlot(y.peers, x.slot)
+	}
+	return ts
+}
+
+// removeSlot deletes one occurrence of slot from peers (order is not
+// kept: nothing reads peers in order).
+func removeSlot(peers []int32, slot int) []int32 {
+	for i, p := range peers {
+		if int(p) == slot {
+			last := len(peers) - 1
+			peers[i] = peers[last]
+			return peers[:last]
+		}
+	}
+	return peers
+}
+
+// applyScratch is the reusable work-list storage of Apply. A steady-state
+// revision fills the same buffers the previous one used instead of
+// allocating them, and never holds references past its own Apply (every
+// buffer is cleared before it is kept). Buffers a bulk batch grew past
+// keepScratch entries — a store build re-checks every overlapping pair,
+// ~44k for 2000 sparse apps — are dropped instead of kept, so what the
+// auditor retains between revisions stays sized to a churn batch (a 1%
+// batch on that store re-checks ~770 pairs).
+type applyScratch struct {
+	tasks    []pairTask
+	results  [][]detect.Threat
+	cands    []int32
+	stale    []pairTask // pairs of changed apps that resolve without solving
+	added    deltaBuf
+	resolved deltaBuf
+}
+
+const keepScratch = 4096
+
+// release clears the scratch for the next revision, dropping buffers a
+// bulk batch grew.
+func (s *applyScratch) release() {
+	if max(cap(s.tasks), cap(s.cands), cap(s.stale), cap(s.added.fs), cap(s.resolved.fs)) > keepScratch {
+		*s = applyScratch{}
+		return
+	}
+	clear(s.tasks)
+	s.tasks = s.tasks[:0]
+	clear(s.results)
+	s.results = s.results[:0]
+	clear(s.stale)
+	s.stale = s.stale[:0]
+	s.added.reset()
+	s.resolved.reset()
+}
+
+// pairTask is one pair to re-check: x is the earlier-installed side.
+type pairTask struct {
+	key  pairKey
+	x, y *storeApp
+}
+
+// deltaBuf collects one side of a revision's findings delta in the order
+// the phases produce it, then emits it in serial install order: ascending
+// later-side position, the intra pair before the cross pairs of the same
+// install, then ascending earlier-side position (exactly how Run lays out
+// PerInstall); entries with equal positions keep their insertion order.
+// Only the small index records are sorted, never the findings.
+type deltaBuf struct {
+	fs   []Finding
+	keys []deltaKey
+}
+
+type deltaKey struct{ aPos, bPos, i int32 }
+
+// add appends the threats of the pair (x, y), x earlier-installed.
+func (d *deltaBuf) add(x, y *storeApp, ts []detect.Threat) {
+	for _, t := range ts {
+		d.keys = append(d.keys, deltaKey{int32(x.pos), int32(y.pos), int32(len(d.fs))})
+		d.fs = append(d.fs, Finding{x.name, y.name, t})
+	}
+}
+
+// sorted returns the collected findings in serial install order, in a
+// slice of their own.
+func (d *deltaBuf) sorted() []Finding {
+	if len(d.fs) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(d.keys, func(p, q deltaKey) int {
+		if p.bPos != q.bPos {
+			return cmp.Compare(p.bPos, q.bPos)
+		}
+		if pi, qi := p.aPos == p.bPos, q.aPos == q.bPos; pi != qi {
+			if pi {
+				return -1
 			}
+			return 1
 		}
-	}
-}
-
-// deltaEntry is one delta finding plus the sort keys that reproduce
-// serial install order: ascending later-side position, the intra pair
-// before the cross pairs of the same install, then ascending earlier-side
-// position (exactly how Run lays out PerInstall).
-type deltaEntry struct {
-	aPos, bPos int
-	f          Finding
-}
-
-func sortDelta(entries []deltaEntry) []Finding {
-	sort.SliceStable(entries, func(i, j int) bool {
-		if entries[i].bPos != entries[j].bPos {
-			return entries[i].bPos < entries[j].bPos
-		}
-		ii, ij := entries[i].aPos == entries[i].bPos, entries[j].aPos == entries[j].bPos
-		if ii != ij {
-			return ii
-		}
-		return entries[i].aPos < entries[j].aPos
+		return cmp.Compare(p.aPos, q.aPos)
 	})
-	out := make([]Finding, 0, len(entries))
-	for _, e := range entries {
-		out = append(out, e.f)
+	out := make([]Finding, len(d.keys))
+	for j, k := range d.keys {
+		out[j] = d.fs[k.i]
 	}
 	return out
+}
+
+func (d *deltaBuf) reset() {
+	clear(d.fs)
+	d.fs = d.fs[:0]
+	d.keys = d.keys[:0]
 }
 
 // threatIdentity is the delta identity of one threat: kind, the two
@@ -436,12 +547,12 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 		}
 	}
 
-	var addedD, resolvedD []deltaEntry
-	resolvePair := func(id pairID, aPos, bPos int) {
-		for _, t := range a.verdicts[id] {
-			resolvedD = append(resolvedD, deltaEntry{aPos, bPos, Finding{id.a, id.b, t}})
-		}
-		a.dropPair(id)
+	scr := &a.scr
+	defer scr.release()
+	// resolve moves a pair's whole verdict into the resolved delta.
+	resolve := func(x, y *storeApp) {
+		lo, hi := ordered(x, y)
+		scr.resolved.add(lo, hi, a.dropVerdict(x, y))
 	}
 
 	// The effective ops — removes that hit an installed app, the winning
@@ -459,24 +570,17 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 			continue
 		}
 		effRemoves = append(effRemoves, name)
-		for counter := range a.pairsOf[name] {
-			if counter == name {
-				resolvePair(pairID{name, name}, st.pos, st.pos)
-				continue
-			}
-			other := a.byName[counter]
-			id := pairIDOf(st, other)
-			lo, hi := st.pos, other.pos
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			resolvePair(id, lo, hi)
+		peers := st.peers
+		st.peers = nil
+		for _, p := range peers {
+			resolve(st, a.slots[p])
 		}
 		a.idx.Update(st.slot, nil)
 		a.slots[st.slot] = nil
 		a.free = append(a.free, st.slot)
 		delete(a.byName, name)
 		copy(a.order[st.pos:], a.order[st.pos+1:])
+		a.order[len(a.order)-1] = nil
 		a.order = a.order[:len(a.order)-1]
 		for i := st.pos; i < len(a.order); i++ {
 			a.order[i].pos = i
@@ -525,60 +629,51 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 
 	// Phase 4: candidate pairs. Each changed app contributes its intra
 	// pair plus every counterpart sharing a channel (posting-list walk —
-	// cost scales with actual overlap, not store size); pairs between two
-	// changed apps dedupe through the task set.
+	// cost scales with actual overlap, not store size). A pair between two
+	// changed apps is generated from both sides; sorting the tasks by key
+	// drops the duplicate and lets Phase 6 look pairs up by binary search.
 	gsp := sp.Child("candidates")
-	type ptask struct {
-		id         pairID
-		x, y       *detect.InstalledApp // x is the earlier-installed side
-		aPos, bPos int
-	}
-	taskIx := map[pairID]struct{}{}
-	var tasks []ptask
 	addTask := func(x, y *storeApp) {
-		id := pairIDOf(x, y)
-		if _, ok := taskIx[id]; ok {
-			return
-		}
-		taskIx[id] = struct{}{}
-		lo, hi := x, y
-		if y.pos < x.pos {
-			lo, hi = y, x
-		}
-		tasks = append(tasks, ptask{id: id, x: lo.app, y: hi.app, aPos: lo.pos, bPos: hi.pos})
+		lo, hi := ordered(x, y)
+		scr.tasks = append(scr.tasks, pairTask{key: keyOf(x, y), x: lo, y: hi})
 	}
-	var buf []int32
 	for _, st := range changed {
 		addTask(st, st)
-		buf = a.idx.AppendCandidates(st.app.Footprint(), buf[:0])
-		for _, s := range buf {
-			other := a.slots[s]
-			if other == nil || other == st {
-				continue
+		scr.cands = a.idx.AppendCandidates(st.app.Footprint(), scr.cands[:0])
+		for _, s := range scr.cands {
+			if other := a.slots[s]; other != nil && other != st {
+				addTask(st, other)
 			}
-			addTask(st, other)
 		}
 	}
+	slices.SortFunc(scr.tasks, func(p, q pairTask) int { return cmp.Compare(p.key, q.key) })
+	scr.tasks = slices.CompactFunc(scr.tasks, func(p, q pairTask) bool { return p.key == q.key })
+	tasks := scr.tasks
 	if gsp != nil {
 		gsp.SetInt("tasks", int64(len(tasks)))
 		gsp.End()
 	}
 
-	// Phase 5: pair detection over the work-stealing pool, one fresh
+	// Phase 5: pair detection over the work-stealing pool, one long-lived
 	// detector per worker (the shared InstalledApps are immutable after
-	// Precompile, so this is the same race-free sharing Run relies on).
+	// Precompile, so this is the same race-free sharing Run relies on;
+	// pair calls clear the detector's per-pair state, so nothing one pair
+	// or revision solved reaches the next).
 	psp := sp.Child("pairs")
-	results := make([][]detect.Threat, len(tasks))
-	dets := make([]*detect.Detector, a.workers)
-	for w := range dets {
-		dets[w] = detect.New(a.opts.Detector)
+	if a.dets == nil {
+		a.dets = make([]*detect.Detector, a.workers)
+		for w := range a.dets {
+			a.dets[w] = detect.New(a.opts.Detector)
+		}
 	}
+	scr.results = slices.Grow(scr.results, len(tasks))[:len(tasks)]
+	results := scr.results
 	runTasksWorker(len(tasks), a.workers, func(w, k int) {
-		results[k] = dets[w].DetectAppPairCandidate(tasks[k].x, tasks[k].y)
+		results[k] = a.dets[w].DetectAppPairCandidate(tasks[k].x.app, tasks[k].y.app)
 	})
-	rev.Stats = dets[0].Stats()
-	for _, d := range dets[1:] {
-		rev.Stats.Merge(d.Stats())
+	rev.Stats = a.dets[0].TakeStats()
+	for _, d := range a.dets[1:] {
+		rev.Stats.Merge(d.TakeStats())
 	}
 	if psp != nil {
 		psp.SetInt("pairs", int64(len(tasks)))
@@ -591,46 +686,32 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	// Checked pairs diff old against new verdicts by threat identity.
 	dsp := sp.Child("delta")
 	for _, st := range changed {
-		for counter := range a.pairsOf[st.name] {
-			var id pairID
-			var lo, hi int
-			if counter == st.name {
-				id = pairID{counter, counter}
-				lo, hi = st.pos, st.pos
-			} else {
-				other := a.byName[counter]
-				id = pairIDOf(st, other)
-				lo, hi = st.pos, other.pos
-				if lo > hi {
-					lo, hi = hi, lo
-				}
+		for _, p := range st.peers {
+			other := a.slots[p]
+			k := keyOf(st, other)
+			if _, ok := slices.BinarySearchFunc(tasks, k, func(t pairTask, k pairKey) int { return cmp.Compare(t.key, k) }); !ok {
+				scr.stale = append(scr.stale, pairTask{key: k, x: st, y: other})
 			}
-			if _, ok := taskIx[id]; ok {
-				continue
-			}
-			resolvePair(id, lo, hi)
 		}
+	}
+	for _, t := range scr.stale {
+		resolve(t.x, t.y) // a pair of two changed apps is listed twice; the second finds no verdict
 	}
 	for k := range tasks {
 		t := &tasks[k]
-		old := a.verdicts[t.id]
+		old := a.verdicts[t.key]
 		newTs := results[k]
 		add, res := diffThreats(old, newTs)
-		for _, th := range add {
-			addedD = append(addedD, deltaEntry{t.aPos, t.bPos, Finding{t.id.a, t.id.b, th}})
-		}
-		for _, th := range res {
-			resolvedD = append(resolvedD, deltaEntry{t.aPos, t.bPos, Finding{t.id.a, t.id.b, th}})
-		}
+		scr.added.add(t.x, t.y, add)
+		scr.resolved.add(t.x, t.y, res)
 		if len(newTs) > 0 {
-			a.verdicts[t.id] = newTs
-			a.notePair(t.id)
-		} else if len(old) > 0 {
-			a.dropPair(t.id)
+			a.setVerdict(t.x, t.y, newTs)
+		} else {
+			a.dropVerdict(t.x, t.y)
 		}
 	}
-	rev.Added = sortDelta(addedD)
-	rev.Resolved = sortDelta(resolvedD)
+	rev.Added = scr.added.sorted()
+	rev.Resolved = scr.resolved.sorted()
 	if dsp != nil {
 		dsp.SetInt("added", int64(len(rev.Added)))
 		dsp.SetInt("resolved", int64(len(rev.Resolved)))
@@ -650,9 +731,13 @@ func (a *Auditor) apply(batch Batch, replayLSN uint64) (*Revision, error) {
 	rev.Pairs = len(tasks)
 	rev.Duration = time.Since(start)
 	a.active += len(rev.Added) - len(rev.Resolved)
+	// Trim the history in place: once it is full, every revision shifts
+	// the window by one instead of copying it into a fresh slice.
 	a.history = append(a.history, rev)
-	if len(a.history) > a.opts.History {
-		a.history = append(a.history[:0:0], a.history[len(a.history)-a.opts.History:]...)
+	if n := len(a.history) - a.opts.History; n > 0 {
+		copy(a.history, a.history[n:])
+		clear(a.history[len(a.history)-n:])
+		a.history = a.history[:len(a.history)-n]
 	}
 	if replayLSN > 0 {
 		// Replayed batches were published before the crash; re-emitting
@@ -715,30 +800,22 @@ func (a *Auditor) Threats() []detect.Threat {
 
 func (a *Auditor) findingsLocked() []Finding {
 	var out []Finding
-	type part struct {
-		pos int
-		id  pairID
-	}
-	var parts []part
+	var earlier []*storeApp
 	for _, st := range a.order {
-		for _, t := range a.verdicts[pairID{st.name, st.name}] {
+		for _, t := range a.verdicts[keyOf(st, st)] {
 			out = append(out, Finding{st.name, st.name, t})
 		}
-		parts = parts[:0]
-		for counter := range a.pairsOf[st.name] {
-			if counter == st.name {
-				continue
+		earlier = earlier[:0]
+		for _, p := range st.peers {
+			// Cross pairs are emitted at their later-installed side.
+			if other := a.slots[p]; other.pos < st.pos {
+				earlier = append(earlier, other)
 			}
-			other := a.byName[counter]
-			if other.pos >= st.pos {
-				continue // counted at the later-installed side
-			}
-			parts = append(parts, part{other.pos, pairID{counter, st.name}})
 		}
-		sort.Slice(parts, func(i, j int) bool { return parts[i].pos < parts[j].pos })
-		for _, p := range parts {
-			for _, t := range a.verdicts[p.id] {
-				out = append(out, Finding{p.id.a, p.id.b, t})
+		slices.SortFunc(earlier, func(x, y *storeApp) int { return cmp.Compare(x.pos, y.pos) })
+		for _, other := range earlier {
+			for _, t := range a.verdicts[keyOf(other, st)] {
+				out = append(out, Finding{other.name, st.name, t})
 			}
 		}
 	}

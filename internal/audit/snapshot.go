@@ -17,7 +17,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
+	"strings"
 	"time"
 
 	"homeguard/internal/detect"
@@ -137,22 +138,30 @@ func (a *Auditor) Snapshot(w io.Writer) error {
 			return err
 		}
 	}
-	ids := make([]pairID, 0, len(a.verdicts))
-	for id := range a.verdicts {
-		ids = append(ids, id)
+	// Pairs are written by name, earlier-installed side first, sorted by
+	// the two names: the order does not depend on index slots, which a
+	// restore may assign differently.
+	type namedPair struct {
+		x, y *storeApp
+		ts   []detect.Threat
 	}
-	sort.Slice(ids, func(i, j int) bool {
-		if ids[i].a != ids[j].a {
-			return ids[i].a < ids[j].a
+	pairs := make([]namedPair, 0, len(a.verdicts))
+	for k, ts := range a.verdicts {
+		x, y := ordered(a.slots[k>>32], a.slots[k&0xffffffff])
+		pairs = append(pairs, namedPair{x, y, ts})
+	}
+	slices.SortFunc(pairs, func(p, q namedPair) int {
+		if c := strings.Compare(p.x.name, q.x.name); c != 0 {
+			return c
 		}
-		return ids[i].b < ids[j].b
+		return strings.Compare(p.y.name, q.y.name)
 	})
-	for _, id := range ids {
-		tb, err := detect.MarshalThreats(a.verdicts[id])
+	for _, p := range pairs {
+		tb, err := detect.MarshalThreats(p.ts)
 		if err != nil {
-			return fmt.Errorf("audit: snapshot: pair (%s,%s): %w", id.a, id.b, err)
+			return fmt.Errorf("audit: snapshot: pair (%s,%s): %w", p.x.name, p.y.name, err)
 		}
-		if err := write(auditPairJSON{A: id.a, B: id.b, Threats: tb}); err != nil {
+		if err := write(auditPairJSON{A: p.x.name, B: p.y.name, Threats: tb}); err != nil {
 			return err
 		}
 	}
@@ -237,16 +246,21 @@ func (a *Auditor) Restore(r io.Reader) error {
 		if err := read(fmt.Sprintf("pair %d", i), &pj); err != nil {
 			return err
 		}
-		if a.byName[pj.A] == nil || a.byName[pj.B] == nil {
+		x, y := a.byName[pj.A], a.byName[pj.B]
+		if x == nil || y == nil {
 			return fmt.Errorf("%w: pair (%s,%s) names an app not in the store", snapcodec.ErrCorrupt, pj.A, pj.B)
+		}
+		if x.pos > y.pos {
+			return fmt.Errorf("%w: pair (%s,%s) is not in install order", snapcodec.ErrCorrupt, pj.A, pj.B)
+		}
+		if _, dup := a.verdicts[keyOf(x, y)]; dup {
+			return fmt.Errorf("%w: duplicate pair (%s,%s)", snapcodec.ErrCorrupt, pj.A, pj.B)
 		}
 		ts, err := detect.UnmarshalThreats(pj.Threats)
 		if err != nil {
 			return fmt.Errorf("audit: restore: pair (%s,%s): %w", pj.A, pj.B, err)
 		}
-		id := pairID{pj.A, pj.B}
-		a.verdicts[id] = ts
-		a.notePair(id)
+		a.setVerdict(x, y, ts)
 		a.active += len(ts)
 	}
 	for i := 0; i < meta.History; i++ {

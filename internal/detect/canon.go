@@ -139,16 +139,13 @@ func (d *Detector) canonTermBind(app *InstalledApp, t rule.Term, bind map[string
 // (effect merges, setpoint bounds); the hot pair queries declare from
 // precompiled plans instead (declareGroups in compile.go).
 func (d *Detector) declareVars(p *solver.Problem, formulas ...rule.Constraint) {
-	for _, dec := range compileDecls(rule.Conj(formulas...)) {
+	s := &declScratch{}
+	if d.pair != nil {
+		s = &d.pair.decls
+	}
+	for _, dec := range s.plan(formulas...) {
 		d.declareVar(p, dec.name, dec.v, dec.observed)
 	}
-}
-
-func addObserved(m map[string]map[string]bool, varName, val string) {
-	if m[varName] == nil {
-		m[varName] = map[string]bool{}
-	}
-	m[varName][val] = true
 }
 
 func (d *Detector) declareVar(p *solver.Problem, name string, v rule.Var, observed []string) {

@@ -1,6 +1,7 @@
 package detect
 
 import (
+	"slices"
 	"sort"
 	"strings"
 
@@ -235,61 +236,112 @@ func footprintFromCompiled(cs *CompiledRuleSet) *rule.Footprint {
 // compileDecls computes the declaration plan of a formula: every
 // referenced variable with the string values it is compared against.
 // Names and observed values are sorted so declaration is deterministic
-// (the map-driven predecessor declared in map-iteration order).
+// (the map-driven predecessor declared in map-iteration order). The plan
+// is retained by the compiled rule, so it is copied out of the scratch
+// at its exact size.
 func compileDecls(f rule.Constraint) []varDecl {
 	if f == nil {
 		return nil
 	}
-	vars := rule.VarSet(f)
-	if len(vars) == 0 {
+	var s declScratch
+	plan := s.plan(f)
+	if plan == nil {
 		return nil
 	}
-	observed := map[string]map[string]bool{}
-	collectObserved(f, observed)
-	names := make([]string, 0, len(vars))
-	for name := range vars {
-		names = append(names, name)
+	out := make([]varDecl, len(plan))
+	for i, dec := range plan {
+		dec.observed = slices.Clone(dec.observed)
+		out[i] = dec
 	}
-	sort.Strings(names)
-	decls := make([]varDecl, 0, len(names))
-	for _, name := range names {
-		var obs []string
-		if m := observed[name]; len(m) > 0 {
-			obs = make([]string, 0, len(m))
-			for o := range m {
-				obs = append(obs, o)
-			}
-			sort.Strings(obs)
-		}
-		decls = append(decls, varDecl{name: name, v: vars[name], observed: obs})
-	}
-	return decls
+	return out
 }
 
-// collectObserved records string values each variable is compared against.
-func collectObserved(c rule.Constraint, observed map[string]map[string]bool) {
+// declScratch is the storage a declaration plan is built in. Query-path
+// plans (declareVars) are consumed at once, so a pair-check detector
+// keeps one declScratch and rebuilds every plan in it without
+// allocating.
+type declScratch struct {
+	vars  []rule.Var // every variable occurrence, in walk order
+	obs   []observed // every (variable, string constant) comparison
+	vals  []string   // observed values, grouped by variable and sorted
+	decls []varDecl
+}
+
+type observed struct{ name, val string }
+
+// plan returns the declaration plan of the conjunction of formulas,
+// backed by s (valid until the next plan on s). A variable occurring
+// with differing metadata keeps its last occurrence in walk order, as
+// rule.VarSet does.
+func (s *declScratch) plan(formulas ...rule.Constraint) []varDecl {
+	s.vars, s.obs = s.vars[:0], s.obs[:0]
+	for _, f := range formulas {
+		s.collect(f)
+	}
+	if len(s.vars) == 0 {
+		return nil
+	}
+	slices.SortStableFunc(s.vars, func(a, b rule.Var) int { return strings.Compare(a.Name, b.Name) })
+	slices.SortFunc(s.obs, func(a, b observed) int {
+		if c := strings.Compare(a.name, b.name); c != 0 {
+			return c
+		}
+		return strings.Compare(a.val, b.val)
+	})
+	s.obs = slices.Compact(s.obs)
+	s.vals = s.vals[:0]
+	for _, o := range s.obs {
+		s.vals = append(s.vals, o.val)
+	}
+	s.decls = s.decls[:0]
+	j := 0 // next unconsumed observation; every observed name is a variable
+	for i, v := range s.vars {
+		if i+1 < len(s.vars) && s.vars[i+1].Name == v.Name {
+			continue // a later occurrence of the same name wins
+		}
+		k := j
+		for k < len(s.obs) && s.obs[k].name == v.Name {
+			k++
+		}
+		var obs []string
+		if k > j {
+			obs = s.vals[j:k:k]
+		}
+		s.decls = append(s.decls, varDecl{name: v.Name, v: v, observed: obs})
+		j = k
+	}
+	return s.decls
+}
+
+// collect records the variables of c and the string values each is
+// compared against.
+func (s *declScratch) collect(c rule.Constraint) {
 	switch x := c.(type) {
 	case rule.Cmp:
-		if v, ok := x.L.(rule.Var); ok {
-			if s, ok := x.R.(rule.StrVal); ok {
-				addObserved(observed, v.Name, string(s))
+		lv, lVar := x.L.(rule.Var)
+		rv, rVar := x.R.(rule.Var)
+		if lVar {
+			s.vars = append(s.vars, lv)
+			if str, ok := x.R.(rule.StrVal); ok {
+				s.obs = append(s.obs, observed{lv.Name, string(str)})
 			}
 		}
-		if v, ok := x.R.(rule.Var); ok {
-			if s, ok := x.L.(rule.StrVal); ok {
-				addObserved(observed, v.Name, string(s))
+		if rVar {
+			s.vars = append(s.vars, rv)
+			if str, ok := x.L.(rule.StrVal); ok {
+				s.obs = append(s.obs, observed{rv.Name, string(str)})
 			}
 		}
 	case rule.And:
 		for _, sub := range x.Cs {
-			collectObserved(sub, observed)
+			s.collect(sub)
 		}
 	case rule.Or:
 		for _, sub := range x.Cs {
-			collectObserved(sub, observed)
+			s.collect(sub)
 		}
 	case rule.Not:
-		collectObserved(x.C, observed)
+		s.collect(x.C)
 	}
 }
 

@@ -3,6 +3,7 @@ package detect
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -54,15 +55,21 @@ type Detector struct {
 	// satCache memoises overlapping-condition solving results so CT/SD/LT
 	// reuse the AR merge and DC reuses EC (Fig. 9 green arrows). Guarded
 	// by the caller's serialization (the fleet's per-home lock).
-	satCache map[string]satResult
-	// keysByApp indexes satCache keys by participant app so Reconfigure
-	// evicts exactly the entries a config change invalidates in
-	// O(entries involving the app) instead of scanning the whole cache —
-	// in a populated home the full scan dominated the steady-state
-	// reconfigure cost. Sets mirror satCache exactly: every cached key is
-	// in its (up to) two participants' sets and is removed from both on
-	// eviction, so the index never holds stale keys. Guarded like satCache.
-	keysByApp map[string]map[string]struct{}
+	satCache map[satKey]satResult
+	// pairsByApp indexes satCache entries by participant app so
+	// Reconfigure evicts exactly the entries a config change invalidates
+	// in O(entries involving the app) instead of scanning the whole cache
+	// — in a populated home the full scan dominated the steady-state
+	// reconfigure cost. It holds rule pairs, not keys: one index entry
+	// covers every kind of query cached for the pair (see rulePair). The
+	// lists are short (an app's rule pairs with cached queries in one
+	// home) and are kept per home for the home's lifetime, so they are
+	// slices, a fraction of a map's fixed group size. Lists mirror
+	// satCache exactly: every rule pair with a cached entry is listed once
+	// under each of its (up to) two participants and is removed from both
+	// on eviction, so the index never holds stale pairs. Guarded like
+	// satCache.
+	pairsByApp map[string][]rulePair
 
 	// inputOptions maps canonical input-variable names ("app!input") to
 	// the enum options declared in the app's preferences, giving the
@@ -90,6 +97,11 @@ type Detector struct {
 	// counters in O(candidates) instead of walking every installed app.
 	totalRules int
 
+	// pair, when non-nil, marks a detector serving pair checks
+	// (DetectAppPair, DetectAppPairCandidate) and holds its reusable
+	// solving scratch; see pairScratch.
+	pair *pairScratch
+
 	// span, when non-nil, is the parent under which Install/Reconfigure
 	// record their stage spans (compile, candidates, verdict, solve). Set
 	// by the caller around one operation (SetSpan) under the same
@@ -98,6 +110,33 @@ type Detector struct {
 	// the per-rule-pair core (detectPair is not instrumented, keeping
 	// DetectPair allocation-free).
 	span *obs.Span
+}
+
+// satKey identifies one cached solving query: its kind and the qualified
+// IDs of the two rules it merges. Being a struct of existing strings, a
+// key costs no allocation per lookup. The zero key marks an uncached
+// query.
+type satKey struct {
+	kind byte // 'o' merged situations, 'c' merged conditions, 'e' effect vs condition
+	a, b string
+}
+
+// rulePair is an unordered pair of qualified rule IDs, lower first: the
+// pair every satKey of the two rules shares, whatever its kind.
+type rulePair [2]string
+
+func (k satKey) pair() rulePair {
+	if k.b < k.a {
+		return rulePair{k.b, k.a}
+	}
+	return rulePair{k.a, k.b}
+}
+
+// keys lists every satKey a rule pair can cache under: the unordered
+// merged-situation and merged-condition queries and the directed
+// effect-vs-condition query in both directions.
+func (p rulePair) keys() [4]satKey {
+	return [4]satKey{{'o', p[0], p[1]}, {'c', p[0], p[1]}, {'e', p[0], p[1]}, {'e', p[1], p[0]}}
 }
 
 type satResult struct {
@@ -114,6 +153,17 @@ type satResult struct {
 	limited bool
 }
 
+// pairScratch is the solving state a pair-check detector reuses across
+// queries. The audit engines' worker detectors run thousands of pair
+// checks each, so they keep one solver problem (Reset per query) and one
+// declaration-plan buffer instead of allocating both per query. Home
+// detectors (Install, Reconfigure) never allocate it: one per home would
+// be retained per home for nothing.
+type pairScratch struct {
+	prob  *solver.Problem
+	decls declScratch
+}
+
 // New returns a detector for one smart home.
 func New(opts Options) *Detector {
 	modes := opts.Modes
@@ -125,8 +175,8 @@ func New(opts Options) *Detector {
 		modesSig:     modesSignature(modes),
 		opts:         opts,
 		stats:        newStats(),
-		satCache:     map[string]satResult{},
-		keysByApp:    map[string]map[string]struct{}{},
+		satCache:     map[satKey]satResult{},
+		pairsByApp:   map[string][]rulePair{},
 		inputOptions: map[string][]string{},
 	}
 	if !opts.DisablePruning {
@@ -144,6 +194,15 @@ func (d *Detector) SetSpan(sp *obs.Span) { d.span = sp }
 
 // Stats returns detector work counters.
 func (d *Detector) Stats() Stats { return d.stats }
+
+// TakeStats returns the counters accumulated since New or the previous
+// TakeStats and restarts them from zero, for engines that reuse one
+// detector across batches and report each batch's work on its own.
+func (d *Detector) TakeStats() Stats {
+	s := d.stats
+	d.stats = newStats()
+	return s
+}
 
 // Apps returns the installed apps in installation order.
 func (d *Detector) Apps() []*InstalledApp { return d.apps }
@@ -227,11 +286,15 @@ func (d *Detector) Precompile(app *InstalledApp) { d.ensureCompiled(app) }
 // never crosses pairs, so a pair's threats are identical whether computed
 // by a serial install sequence or an independent detector. appA must be
 // the earlier-installed side (intra-app pairs pass the same app twice).
+//
+// Pair calls own the detector's solving state: each one starts by
+// clearing satCache and the input options, so a long-lived detector can
+// serve any number of pairs — across app updates that change a rule's
+// formulas or an input's options under the same names — without one
+// pair's entries reaching another, and its state stays sized to one pair.
+// A detector serving pair calls must therefore not also Install.
 func (d *Detector) DetectAppPair(appA, appB *InstalledApp) []Threat {
-	d.noteInputOptions(appA)
-	if appB != appA {
-		d.noteInputOptions(appB)
-	}
+	d.beginPair(appA, appB)
 	return d.appPairThreats(appA, appB)
 }
 
@@ -241,11 +304,35 @@ func (d *Detector) DetectAppPair(appA, appB *InstalledApp) []Threat {
 // would re-run, which is the point of generating candidates from postings
 // in the first place.
 func (d *Detector) DetectAppPairCandidate(appA, appB *InstalledApp) []Threat {
+	d.beginPair(appA, appB)
+	return d.appPairVerdict(appA, appB)
+}
+
+// beginPair resets the per-pair solving state and notes the pair's
+// enum-input options. satCache entries of a pair-check detector never
+// outlive the pair, so they are never indexed in pairsByApp (that index
+// serves Reconfigure eviction, which a pair detector never runs) and it
+// stays empty.
+func (d *Detector) beginPair(appA, appB *InstalledApp) {
+	if d.pair == nil {
+		d.pair = &pairScratch{prob: solver.NewProblem()}
+	}
+	clear(d.satCache)
+	clear(d.inputOptions)
 	d.noteInputOptions(appA)
 	if appB != appA {
 		d.noteInputOptions(appB)
 	}
-	return d.appPairVerdict(appA, appB)
+}
+
+// newProblem returns an empty solver problem: the pair scratch's problem,
+// Reset, on a pair-check detector, a fresh one otherwise.
+func (d *Detector) newProblem() *solver.Problem {
+	if d.pair == nil {
+		return solver.NewProblem()
+	}
+	d.pair.prob.Reset()
+	return d.pair.prob
 }
 
 // Merge adds other's counters into s, for engines that aggregate several
@@ -420,24 +507,30 @@ func (d *Detector) Reconfigure(appName string, cfg *Config) ([]Threat, error) {
 	// participant apps exactly, so only keys the new binding invalidates
 	// go — substring matching over keys would both over-evict (app "Lock"
 	// clearing entries of "Auto Lock") and rot if the key format changed.
-	// The per-app key index walks exactly those entries; the counterpart
+	// The per-app index walks exactly those rule pairs; the counterpart
 	// app's index entry is dropped too, so the index stays an exact
 	// mirror of the cache.
-	for k := range d.keysByApp[appName] {
-		r, ok := d.satCache[k]
-		if !ok {
-			continue
-		}
-		delete(d.satCache, k)
-		other := r.apps[0]
-		if other == appName {
-			other = r.apps[1]
+	for _, p := range d.pairsByApp[appName] {
+		other := ""
+		for _, k := range p.keys() {
+			if r, ok := d.satCache[k]; ok {
+				delete(d.satCache, k)
+				other = r.apps[0]
+				if other == appName {
+					other = r.apps[1]
+				}
+			}
 		}
 		if other != appName && other != "" {
-			delete(d.keysByApp[other], k)
+			l := d.pairsByApp[other]
+			if i := slices.Index(l, p); i >= 0 {
+				last := len(l) - 1
+				l[i], l[last] = l[last], rulePair{}
+				d.pairsByApp[other] = l[:last]
+			}
 		}
 	}
-	delete(d.keysByApp, appName)
+	delete(d.pairsByApp, appName)
 	// The new bindings change the app's compiled formulas, its canonical
 	// footprint and its verdict signature; recompile before re-pairing.
 	csp := d.span.Child("compile")
@@ -594,49 +687,72 @@ func (d *Detector) endKind(t kindTimer) {
 // solveCompiled decides satisfiability of the (up to) two compiled
 // formulas, caching by key and declaring variables from the precompiled
 // plans. apps names the participant apps for satCache eviction.
-func (d *Detector) solveCompiled(key string, apps [2]string, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
-	if !d.opts.DisableReuse && key != "" {
+func (d *Detector) solveCompiled(key satKey, apps [2]string, declsA, declsB []varDecl, f1, f2 rule.Constraint) (solver.Model, bool) {
+	if !d.opts.DisableReuse && key.kind != 0 {
 		if r, ok := d.satCache[key]; ok {
 			d.stats.SolverCacheHits++
 			d.noteLimited(r)
 			return r.witness, r.sat
 		}
 	}
-	p := solver.NewProblem()
+	p := d.newProblem()
 	d.declareGroups(p, declsA, declsB)
 	p.AddConstraint(f1)
 	p.AddConstraint(f2)
-	return d.runSolve(p, key, apps)
+	return d.runSolve(p, key, apps, true)
 }
 
 // solveWalk is solveCompiled for ad-hoc formula sets (effect merges,
 // setpoint bounds): variables are declared by walking the formulas.
-func (d *Detector) solveWalk(key string, apps [2]string, formulas ...rule.Constraint) (solver.Model, bool) {
-	if !d.opts.DisableReuse && key != "" {
+func (d *Detector) solveWalk(key satKey, apps [2]string, formulas ...rule.Constraint) (solver.Model, bool) {
+	if !d.opts.DisableReuse && key.kind != 0 {
 		if r, ok := d.satCache[key]; ok {
 			d.stats.SolverCacheHits++
 			d.noteLimited(r)
 			return r.witness, r.sat
 		}
 	}
-	p := solver.NewProblem()
+	return d.runSolve(d.walkProblem(formulas), key, apps, true)
+}
+
+// satWalk is solveWalk for an uncached query whose witness nobody reads:
+// the solver decides satisfiability without building a model.
+func (d *Detector) satWalk(formulas ...rule.Constraint) bool {
+	_, sat := d.runSolve(d.walkProblem(formulas), satKey{}, [2]string{}, false)
+	return sat
+}
+
+// walkProblem builds the problem for an ad-hoc formula set, declaring its
+// variables by walking the formulas.
+func (d *Detector) walkProblem(formulas []rule.Constraint) *solver.Problem {
+	p := d.newProblem()
 	d.declareVars(p, formulas...)
 	for _, f := range formulas {
 		p.AddConstraint(f)
 	}
-	return d.runSolve(p, key, apps)
+	return p
 }
 
 // runSolve executes a prepared problem, times it against the current
 // threat kind, applies the conservative budget-exhaustion policy and
-// caches the result under key.
-func (d *Detector) runSolve(p *solver.Problem, key string, apps [2]string) (solver.Model, bool) {
+// caches the result under key. withModel false skips building the
+// witness (the returned model is then nil).
+func (d *Detector) runSolve(p *solver.Problem, key satKey, apps [2]string, withModel bool) (solver.Model, bool) {
 	d.stats.SolverCalls++
 	if d.opts.SolverNodeCap > 0 {
 		p.SetNodeCap(d.opts.SolverNodeCap)
 	}
 	solveStart := time.Now()
-	m, sat, err := p.Solve()
+	var (
+		m   solver.Model
+		sat bool
+		err error
+	)
+	if withModel {
+		m, sat, err = p.Solve()
+	} else {
+		sat, err = p.Sat()
+	}
 	d.stats.SolveNS[d.curKind] += time.Since(solveStart).Nanoseconds()
 	limited := false
 	if err != nil {
@@ -650,29 +766,28 @@ func (d *Detector) runSolve(p *solver.Problem, key string, apps [2]string) (solv
 			d.limitErr = fmt.Errorf("detect: pair (%s, %s): %w", apps[0], apps[1], err)
 		}
 	}
-	if !d.opts.DisableReuse && key != "" {
+	if !d.opts.DisableReuse && key.kind != 0 {
 		d.satCache[key] = satResult{sat: sat, witness: m, apps: apps, limited: limited}
-		d.noteKey(apps[0], key)
-		if apps[1] != apps[0] {
-			d.noteKey(apps[1], key)
+		if d.pair == nil {
+			d.noteKey(apps[0], key)
+			if apps[1] != apps[0] {
+				d.noteKey(apps[1], key)
+			}
 		}
 	}
 	return m, sat
 }
 
-// noteKey records key in app's satCache key index (see keysByApp). Two
-// map writes on the solve path — noise next to an actual solver run —
-// buy O(1)-per-entry eviction on reconfigure.
-func (d *Detector) noteKey(app, key string) {
+// noteKey lists key's rule pair under app in pairsByApp, once per pair.
+// The list scan is noise next to the solver run that precedes it.
+func (d *Detector) noteKey(app string, key satKey) {
 	if app == "" {
 		return
 	}
-	s := d.keysByApp[app]
-	if s == nil {
-		s = map[string]struct{}{}
-		d.keysByApp[app] = s
+	p := key.pair()
+	if l := d.pairsByApp[app]; !slices.Contains(l, p) {
+		d.pairsByApp[app] = append(l, p)
 	}
-	s[key] = struct{}{}
 }
 
 // noteLimited re-raises the degradation of a budget-limited cached
@@ -691,20 +806,18 @@ func pairAppsC(c1, c2 *compiledRule) [2]string { return [2]string{c1.r.App, c2.r
 
 // overlapKey identifies the merged-situation query for a rule pair
 // (unordered), enabling the AR→CT/SD/LT reuse.
-func overlapKey(c1, c2 *compiledRule) string {
-	a, b := c1.qid, c2.qid
-	if b < a {
-		a, b = b, a
-	}
-	return "overlap:" + a + "|" + b
-}
+func overlapKey(c1, c2 *compiledRule) satKey { return unorderedKey('o', c1, c2) }
 
-func condKey(c1, c2 *compiledRule) string {
+// condKey identifies the merged-condition query for a rule pair
+// (unordered).
+func condKey(c1, c2 *compiledRule) satKey { return unorderedKey('c', c1, c2) }
+
+func unorderedKey(kind byte, c1, c2 *compiledRule) satKey {
 	a, b := c1.qid, c2.qid
 	if b < a {
 		a, b = b, a
 	}
-	return "cond:" + a + "|" + b
+	return satKey{kind, a, b}
 }
 
 // situationsOverlap checks SAT(T1 ∧ C1 ∧ T2 ∧ C2) — the paper's
@@ -845,7 +958,7 @@ func sameActionDevice(c1, c2 *compiledRule) bool {
 func (d *Detector) detectCT(c1, c2 *compiledRule) (Threat, bool) {
 	defer d.endKind(d.beginKind(CovertTriggering))
 	trigProp, channel := d.triggerChannel(c1, c2)
-	if channel == "" {
+	if channel == noChannel {
 		if d.opts.DisableFiltering {
 			d.conditionsOverlap(c1, c2) // ablation: solve anyway
 		}
@@ -859,15 +972,26 @@ func (d *Detector) detectCT(c1, c2 *compiledRule) (Threat, bool) {
 	d.stats.Found[CovertTriggering]++
 	return Threat{
 		Kind: CovertTriggering, R1: c1.r, R2: c2.r, Property: trigProp, Witness: witness,
-		Note: channel,
+		Note: channelNote(channel, c1, c2, trigProp),
 	}, true
 }
 
-// triggerChannel decides whether A1 can fire T2, returning a description
-// of the channel ("" when none).
-func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, string) {
+// trigChannel is how A1 can fire T2; the threat note describing it is
+// formatted only for a reported threat (channelNote).
+type trigChannel uint8
+
+const (
+	noChannel    trigChannel = iota
+	changesAttr              // A1 changes the attribute an any-change trigger watches
+	setsTrigger              // A1 sets the attribute to a triggering value
+	drivesSensed             // A1 drives an environment property T2's subject senses
+)
+
+// triggerChannel decides whether A1 can fire T2 and through which
+// channel (noChannel when none).
+func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, trigChannel) {
 	if c2.trigSkip {
-		return "", "" // app-touch and schedules cannot be fired by actions
+		return "", noChannel // app-touch and schedules cannot be fired by actions
 	}
 	// Direct channel: A1 changes the very attribute T2 subscribes to.
 	t2Var := c2.trigVar
@@ -877,31 +1001,45 @@ func (d *Detector) triggerChannel(c1, c2 *compiledRule) (envmodel.Property, stri
 			continue
 		}
 		if c2.trigAnyChange {
-			return "", fmt.Sprintf("action %s(%s) changes %s which triggers the rule",
-				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
+			return "", changesAttr
 		}
-		// Check the trigger constraint against the effect value.
-		_, sat := d.solveWalk("", [2]string{}, c2.trigConstraint, c1.effectCs[i])
-		if sat {
-			return "", fmt.Sprintf("action %s(%s) sets %s to the triggering value",
-				c1.r.Action.Subject, c1.r.Action.Command, t2Var)
+		// Check the trigger constraint against the effect value (the
+		// verdict alone decides the channel; no witness is kept).
+		if d.satWalk(c2.trigConstraint, c1.effectCs[i]) {
+			return "", setsTrigger
 		}
-		return "", ""
+		return "", noChannel
 	}
 	// Environment channel: A1 shifts a property sensed by T2's subject.
 	if !c2.trigPropOK {
-		return "", ""
+		return "", noChannel
 	}
 	prop := c2.trigProp
 	sign := c1.envEffects[prop]
 	if sign == envmodel.None {
-		return "", ""
+		return "", noChannel
 	}
 	if !signMatchesTrigger(c2, sign) {
-		return "", ""
+		return "", noChannel
 	}
-	return prop, fmt.Sprintf("action %s(%s) drives %s (%s) sensed by %s",
-		c1.r.Action.Subject, c1.r.Action.Command, prop, sign, c2.r.Trigger.Subject)
+	return prop, drivesSensed
+}
+
+// channelNote describes a trigger channel triggerChannel found. Covert
+// triggering is the most frequent finding, so the note is concatenated
+// (one allocation) rather than formatted.
+func channelNote(ch trigChannel, c1, c2 *compiledRule, prop envmodel.Property) string {
+	a := &c1.r.Action
+	switch ch {
+	case changesAttr:
+		return "action " + a.Subject + "(" + a.Command + ") changes " + c2.trigVar + " which triggers the rule"
+	case setsTrigger:
+		return "action " + a.Subject + "(" + a.Command + ") sets " + c2.trigVar + " to the triggering value"
+	case drivesSensed:
+		return "action " + a.Subject + "(" + a.Command + ") drives " + string(prop) +
+			" (" + c1.envEffects[prop].String() + ") sensed by " + c2.r.Trigger.Subject
+	}
+	return ""
 }
 
 // canonTriggerVar is the canonical variable T2 subscribes to.
@@ -1001,8 +1139,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 	}
 	if !touched {
 		if d.opts.DisableFiltering {
-			key := "ec:" + c1.qid + "|" + c2.qid
-			d.solveWalk(key, pairAppsC(c1, c2), condF) // ablation: solve anyway
+			d.solveWalk(satKey{'e', c1.qid, c2.qid}, pairAppsC(c1, c2), condF) // ablation: solve anyway
 		}
 		return Threat{}, false
 	}
@@ -1010,8 +1147,7 @@ func (d *Detector) detectCondInterference(c1, c2 *compiledRule) (Threat, bool) {
 
 	// Merge the effect constraints with C2: SAT ⇒ may enable (EC);
 	// UNSAT ⇒ disables (DC).
-	key := "ec:" + c1.qid + "|" + c2.qid
-	witness, sat := d.solveWalk(key, pairAppsC(c1, c2), append([]rule.Constraint{condF}, effectCs...)...)
+	witness, sat := d.solveWalk(satKey{'e', c1.qid, c2.qid}, pairAppsC(c1, c2), append([]rule.Constraint{condF}, effectCs...)...)
 	if sat {
 		d.stats.Found[EnablingCondition]++
 		return Threat{

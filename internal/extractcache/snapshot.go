@@ -165,6 +165,11 @@ func UnmarshalResult(b []byte) (*symexec.Result, error) {
 	if res == nil {
 		return nil, fmt.Errorf("%w: result payload without a result", ErrSnapshotCorrupt)
 	}
+	// Extraction always yields a rule set; the detector reads it
+	// unchecked when the result is installed.
+	if res.Rules == nil {
+		return nil, fmt.Errorf("%w: result payload without a rule set", ErrSnapshotCorrupt)
+	}
 	return res, nil
 }
 

@@ -191,3 +191,91 @@ func TestSetNodeCapSurfacesLimit(t *testing.T) {
 		t.Fatalf("want ErrSearchLimit, got %v", err)
 	}
 }
+
+// TestResetMatchesFreshProblem pins Problem.Reset: a problem that is
+// Reset and refilled must answer every query exactly as a fresh
+// NewProblem does — same sat result, same Model, same error — whatever
+// the previous query left behind. The queries run in one sequence on a
+// single reused problem, ordered so that each kind of leftover state is
+// followed by a query it would corrupt: the unsat flag of a constant-false
+// fold, a tiny node cap, a search-limit hit, and declared variables whose
+// domains a later query redeclares differently.
+func TestResetMatchesFreshProblem(t *testing.T) {
+	type query struct {
+		name string
+		fill func(p *Problem)
+	}
+	lt := rule.Cmp{Op: rule.OpLt, L: intVar("x"), R: intVar("y")}
+	queries := []query{
+		{"constant-false fold", func(p *Problem) {
+			p.AddIntVar("x", 0, 10)
+			p.AddConstraint(rule.Cmp{Op: rule.OpEq, L: rule.IntVal(1), R: rule.IntVal(2)})
+		}},
+		{"sat after unsat fold", func(p *Problem) {
+			p.AddIntVar("x", 0, 10)
+			p.AddConstraint(rule.Cmp{Op: rule.OpGe, L: intVar("x"), R: rule.IntVal(7)})
+		}},
+		{"node cap hit", func(p *Problem) {
+			p.AddIntVar("x", 0, 100000)
+			p.AddIntVar("y", 0, 100000)
+			p.AddConstraint(lt)
+			p.SetNodeCap(1)
+		}},
+		{"default cap after a small one", func(p *Problem) {
+			p.AddIntVar("x", 0, 100000)
+			p.AddIntVar("y", 0, 100000)
+			p.AddConstraint(lt)
+		}},
+		{"generous cap", func(p *Problem) {
+			p.AddIntVar("x", 5, 9)
+			p.AddIntVar("y", 0, 6)
+			p.AddConstraint(lt)
+			p.SetNodeCap(1000)
+		}},
+		{"enum redeclared after int", func(p *Problem) {
+			p.AddEnumVar("x", []string{"Home", "Away", "Night"})
+			p.AddConstraint(rule.Cmp{Op: rule.OpNe, L: strVar("x"), R: rule.StrVal("Home")})
+			p.AddBoolVar("b")
+			p.AddConstraint(rule.Cmp{Op: rule.OpEq, L: rule.Var{Name: "b", Type: rule.TypeBool}, R: rule.BoolVal(true)})
+		}},
+		{"auto-declared and branching", func(p *Problem) {
+			p.AddConstraint(rule.Or{Cs: []rule.Constraint{
+				rule.Cmp{Op: rule.OpLt, L: intVar("x"), R: rule.IntVal(-5)},
+				rule.Cmp{Op: rule.OpGt, L: intVar("x"), R: rule.IntVal(500)},
+			}})
+			p.AddConstraint(rule.Cmp{Op: rule.OpEq, L: strVar("s"), R: rule.StrVal("on")})
+		}},
+		{"unsat by search", func(p *Problem) {
+			p.AddIntVar("x", 0, 3)
+			p.AddIntVar("y", 0, 3)
+			p.AddConstraint(lt)
+			p.AddConstraint(rule.Cmp{Op: rule.OpLt, L: intVar("y"), R: intVar("x")})
+		}},
+	}
+	reused := NewProblem()
+	for round := 0; round < 2; round++ {
+		for _, q := range queries {
+			fresh := NewProblem()
+			q.fill(fresh)
+			wantM, wantSat, wantErr := fresh.Solve()
+
+			reused.Reset()
+			q.fill(reused)
+			gotM, gotSat, gotErr := reused.Solve()
+			if gotSat != wantSat || !errors.Is(gotErr, wantErr) || (gotErr == nil) != (wantErr == nil) {
+				t.Fatalf("round %d, %s: reused problem gave sat=%v err=%v, fresh gave sat=%v err=%v",
+					round, q.name, gotSat, gotErr, wantSat, wantErr)
+			}
+			if !reflect.DeepEqual(gotM, wantM) {
+				t.Fatalf("round %d, %s: models differ:\n  reused: %v\n  fresh:  %v", round, q.name, gotM, wantM)
+			}
+			// Sat answers the same verdict without building the model.
+			reused.Reset()
+			q.fill(reused)
+			sat, err := reused.Sat()
+			if sat != wantSat || (err == nil) != (wantErr == nil) {
+				t.Fatalf("round %d, %s: Sat gave %v/%v, Solve gave %v/%v", round, q.name, sat, err, wantSat, wantErr)
+			}
+		}
+	}
+}

@@ -133,9 +133,28 @@ func (d Domain) Remove(v int64) Domain {
 // Only returns the domain intersected with {v}.
 func (d Domain) Only(v int64) Domain {
 	if d.Contains(v) {
-		return NewDomain(v, v)
+		return singleton(v)
 	}
 	return Domain{}
+}
+
+// smallSingletons backs the singleton domains of small non-negative
+// values — every enum value index, and most pinned integers — so pinning
+// a variable allocates nothing. Domains never write their intervals, and
+// each one is sliced with its capacity capped, so sharing is safe.
+var smallSingletons = func() (t [64]Interval) {
+	for i := range t {
+		t[i] = Interval{int64(i), int64(i)}
+	}
+	return t
+}()
+
+// singleton returns the domain {v}.
+func singleton(v int64) Domain {
+	if v >= 0 && v < int64(len(smallSingletons)) {
+		return Domain{ivs: smallSingletons[v : v+1 : v+1]}
+	}
+	return NewDomain(v, v)
 }
 
 // Intersect returns d ∩ o.

@@ -66,6 +66,10 @@ type Problem struct {
 	// for concurrent use.)
 	lastSolution *store
 
+	// ivs is the interval arena declared domains are carved from (see
+	// domain).
+	ivs []Interval
+
 	// Scratch buffers reused across the many diffUnsat calls one search
 	// performs (one per labeling node); see diffUnsat.
 	diffNode  []int32
@@ -74,9 +78,47 @@ type Problem struct {
 	diffVars  []int32
 }
 
+// defaultNodeCap is the search node budget a new or Reset problem gets.
+const defaultNodeCap = 200_000
+
 // NewProblem returns an empty problem.
 func NewProblem() *Problem {
-	return &Problem{index: map[string]int{}, nodeCap: 200_000}
+	return &Problem{index: map[string]int{}, nodeCap: defaultNodeCap}
+}
+
+// Reset empties the problem for reuse: no variables, no formulas, the
+// unsat flag cleared and the default node budget, exactly as NewProblem
+// leaves it. The backing storage (variable table, name index, formula
+// list, search scratch) is kept, so a caller that solves many small
+// queries in sequence stops allocating it per query. References the
+// previous query held (formulas, enum value slices) are dropped, not
+// just truncated over.
+func (p *Problem) Reset() {
+	clear(p.vars)
+	p.vars = p.vars[:0]
+	clear(p.index)
+	clear(p.formulas)
+	p.formulas = p.formulas[:0]
+	p.ivs = p.ivs[:0]
+	p.nodeCap = defaultNodeCap
+	p.unsat = false
+	p.lastSolution = nil
+}
+
+// domain returns the domain [lo, hi] like NewDomain, with its interval
+// carved from the problem's arena: the declarations of one query share a
+// backing array instead of allocating an interval each. Domains are
+// immutable values (every operation returns fresh intervals), so sharing
+// is safe, and Reset recycles the arena only when the previous query's
+// domains are dead: Solve copies them into per-call stores, which are
+// overwritten before any later read, and a Model holds plain values.
+func (p *Problem) domain(lo, hi int64) Domain {
+	if lo > hi {
+		return Domain{}
+	}
+	p.ivs = append(p.ivs, Interval{lo, hi})
+	n := len(p.ivs)
+	return Domain{ivs: p.ivs[n-1 : n : n]}
 }
 
 // SetNodeCap overrides the search node budget (default 200k). Exhausting
@@ -98,7 +140,7 @@ func (p *Problem) AddIntVar(name string, min, max int64) {
 		return
 	}
 	p.index[name] = len(p.vars)
-	p.vars = append(p.vars, variable{name: name, dom: NewDomain(min, max)})
+	p.vars = append(p.vars, variable{name: name, dom: p.domain(min, max)})
 }
 
 // AddEnumVar declares an enumeration variable with the given values. The
@@ -112,13 +154,20 @@ func (p *Problem) AddEnumVar(name string, values []string) {
 	p.vars = append(p.vars, variable{
 		name: name,
 		enum: values,
-		dom:  NewDomain(0, int64(len(values)-1)),
+		dom:  p.domain(0, int64(len(values)-1)),
 	})
 }
 
+// boolValues and otherValues are the shared, never-mutated value tables
+// of boolean variables and of string variables with no observed values.
+var (
+	boolValues  = []string{"false", "true"}
+	otherValues = []string{"\x00other"}
+)
+
 // AddBoolVar declares a boolean variable (an enum of false/true).
 func (p *Problem) AddBoolVar(name string) {
-	p.AddEnumVar(name, []string{"false", "true"})
+	p.AddEnumVar(name, boolValues)
 }
 
 // HasVar reports whether the variable is declared.
@@ -189,6 +238,9 @@ func boxLit(b bool) rule.Constraint {
 	return litFalse
 }
 
+// foldC returns c itself, not a re-boxed copy of its concrete value, when
+// nothing folds: converting a struct back to the interface would allocate
+// on every query.
 func foldC(c rule.Constraint) (rule.Constraint, bool) {
 	switch x := c.(type) {
 	case rule.Cmp:
@@ -210,17 +262,17 @@ func foldC(c rule.Constraint) (rule.Constraint, bool) {
 			}
 			return boxLit(eq), true
 		}
-		return x, false
+		return c, false
 	case rule.And:
 		folded, changed := foldList(x.Cs)
 		if !changed {
-			return x, false
+			return c, false
 		}
 		return rule.Conj(folded...), true
 	case rule.Or:
 		folded, changed := foldList(x.Cs)
 		if !changed {
-			return x, false
+			return c, false
 		}
 		return rule.Disj(folded...), true
 	case rule.Not:
@@ -229,7 +281,7 @@ func foldC(c rule.Constraint) (rule.Constraint, bool) {
 			return boxLit(!bool(lit)), true
 		}
 		if !changed {
-			return x, false
+			return c, false
 		}
 		return rule.Not{C: f}, true
 	}
@@ -316,7 +368,7 @@ func (p *Problem) autoDeclareTerm(t, other rule.Term) {
 		p.AddBoolVar(v.Name)
 	default:
 		if v.Type == rule.TypeString {
-			p.AddEnumVar(v.Name, []string{"\x00other"})
+			p.AddEnumVar(v.Name, otherValues)
 			return
 		}
 		p.AddIntVar(v.Name, DefaultIntMin, DefaultIntMax)
@@ -368,6 +420,17 @@ func releaseStore(s *store) {
 // narrows domains only inside per-call stores, so no state from one call
 // leaks into the next (see lastSolution).
 func (p *Problem) Solve() (Model, bool, error) {
+	return p.solve(true)
+}
+
+// Sat decides satisfiability exactly as Solve does but builds no witness
+// model, for callers that need only the verdict.
+func (p *Problem) Sat() (bool, error) {
+	_, ok, err := p.solve(false)
+	return ok, err
+}
+
+func (p *Problem) solve(withModel bool) (Model, bool, error) {
 	if p.unsat {
 		return nil, false, nil
 	}
@@ -385,7 +448,10 @@ func (p *Problem) Solve() (Model, bool, error) {
 	}
 	// The search captured the deciding store (possibly a descendant clone
 	// of st) in lastSolution; extract the witness, then recycle both.
-	m := p.model(p.lastSolution)
+	var m Model
+	if withModel {
+		m = p.model(p.lastSolution)
+	}
 	if p.lastSolution != st {
 		releaseStore(p.lastSolution)
 	}
@@ -960,7 +1026,7 @@ func (p *Problem) label(st *store, budget *int) (bool, error) {
 				continue
 			}
 			child := cloneStore(st)
-			child.doms[pick] = NewDomain(v, v)
+			child.doms[pick] = singleton(v)
 			ok, err := p.label(child, budget)
 			if err != nil || ok {
 				return ok, err
