@@ -1,24 +1,19 @@
 package main
 
 import (
-	"context"
-	"encoding/json"
-	"errors"
 	"net"
 	"reflect"
 	"testing"
 
-	"homeguard/internal/api"
 	"homeguard/internal/fleet"
 	"homeguard/internal/rpc"
+	"homeguard/internal/rpc/paritytest"
 )
 
 // TestTransportParity drives the SAME operation sequence through the
-// HTTP edge and the RPC edge (each over its own fleet) and asserts the
-// two transports agree on every payload and every error: identical
-// threat verdicts, identical envelope codes, and HTTP statuses that
-// are exactly the envelope code's HTTPStatus mapping. This is the
-// contract that lets clients switch transports without behavior drift.
+// daemon's HTTP edge and its RPC edge (each over its own fleet) and
+// asserts the two transports agree on every payload and every error
+// (see paritytest.Run), then that both fleets counted the same work.
 func TestTransportParity(t *testing.T) {
 	httpSrv := newServer(fleet.Options{Shards: 4})
 
@@ -35,140 +30,8 @@ func TestTransportParity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer client.Close()
-	ctx := context.Background()
 
-	// step runs one operation on both edges and returns the two
-	// (payload, code) outcomes; payload is nil on error.
-	type outcome struct {
-		body map[string]any
-		code api.Code
-	}
-	viaHTTP := func(method, path string, body any) outcome {
-		status, resp := doJSON(t, httpSrv, method, path, body)
-		if errObj, ok := resp["error"].(map[string]any); ok {
-			code := api.Code(errObj["code"].(string))
-			if want := code.HTTPStatus(); status != want {
-				t.Errorf("HTTP %s %s: status %d for code %s, want %d", method, path, status, code, want)
-			}
-			return outcome{code: code}
-		}
-		return outcome{body: resp, code: api.CodeOK}
-	}
-	viaRPC := func(resp any, err error) outcome {
-		if err != nil {
-			var aerr *api.Error
-			if !errors.As(err, &aerr) {
-				t.Fatalf("RPC returned a non-envelope error: %v", err)
-			}
-			return outcome{code: aerr.Code}
-		}
-		b, merr := json.Marshal(resp)
-		if merr != nil {
-			t.Fatal(merr)
-		}
-		var m map[string]any
-		if err := json.Unmarshal(b, &m); err != nil {
-			t.Fatal(err)
-		}
-		return outcome{body: m, code: api.CodeOK}
-	}
-	check := func(name string, h, r outcome) {
-		t.Helper()
-		if h.code != r.code {
-			t.Errorf("%s: HTTP code %s != RPC code %s", name, h.code, r.code)
-			return
-		}
-		if !reflect.DeepEqual(h.body, r.body) {
-			hb, _ := json.Marshal(h.body)
-			rb, _ := json.Marshal(r.body)
-			t.Errorf("%s: payloads diverge\n  http: %s\n  rpc:  %s", name, hb, rb)
-		}
-	}
-
-	steps := []struct {
-		name string
-		http func() outcome
-		rpc  func() outcome
-	}{
-		{"install ComfortTV", func() outcome {
-			return viaHTTP("POST", "/homes/h1/install", map[string]any{"corpus": "ComfortTV"})
-		}, func() outcome {
-			return viaRPC(client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "ComfortTV"}))
-		}},
-		{"install ColdDefender (threats)", func() outcome {
-			return viaHTTP("POST", "/homes/h1/install", map[string]any{"corpus": "ColdDefender"})
-		}, func() outcome {
-			return viaRPC(client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "ColdDefender"}))
-		}},
-		{"duplicate install", func() outcome {
-			return viaHTTP("POST", "/homes/h1/install", map[string]any{"corpus": "ComfortTV"})
-		}, func() outcome {
-			return viaRPC(client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "ComfortTV"}))
-		}},
-		{"unknown corpus", func() outcome {
-			return viaHTTP("POST", "/homes/h1/install", map[string]any{"corpus": "NoSuchApp"})
-		}, func() outcome {
-			return viaRPC(client.Install(ctx, &api.InstallRequest{Home: "h1", Corpus: "NoSuchApp"}))
-		}},
-		{"empty install body", func() outcome {
-			return viaHTTP("POST", "/homes/h1/install", map[string]any{})
-		}, func() outcome {
-			return viaRPC(client.Install(ctx, &api.InstallRequest{Home: "h1"}))
-		}},
-		{"install batch", func() outcome {
-			return viaHTTP("POST", "/homes/h2/install-batch", map[string]any{
-				"items": []map[string]any{{"corpus": "ComfortTV"}, {"corpus": "NoSuchApp"}},
-			})
-		}, func() outcome {
-			return viaRPC(client.InstallBatch(ctx, &api.InstallBatchRequest{
-				Home:  "h2",
-				Items: []api.InstallItem{{Corpus: "ComfortTV"}, {Corpus: "NoSuchApp"}},
-			}))
-		}},
-		{"reconfigure", func() outcome {
-			return viaHTTP("POST", "/homes/h1/reconfigure", map[string]any{"app": "ColdDefender"})
-		}, func() outcome {
-			return viaRPC(client.Reconfigure(ctx, &api.ReconfigureRequest{Home: "h1", App: "ColdDefender"}))
-		}},
-		{"reconfigure unknown app", func() outcome {
-			return viaHTTP("POST", "/homes/h1/reconfigure", map[string]any{"app": "Ghost"})
-		}, func() outcome {
-			return viaRPC(client.Reconfigure(ctx, &api.ReconfigureRequest{Home: "h1", App: "Ghost"}))
-		}},
-		{"threats", func() outcome {
-			return viaHTTP("GET", "/homes/h1/threats", nil)
-		}, func() outcome {
-			return viaRPC(client.Threats(ctx, &api.ThreatsRequest{Home: "h1"}))
-		}},
-		{"threats unknown home", func() outcome {
-			return viaHTTP("GET", "/homes/ghost/threats", nil)
-		}, func() outcome {
-			return viaRPC(client.Threats(ctx, &api.ThreatsRequest{Home: "ghost"}))
-		}},
-		{"accept", func() outcome {
-			return viaHTTP("POST", "/homes/h1/accept", map[string]any{"threats": []int{0}})
-		}, func() outcome {
-			return viaRPC(client.Accept(ctx, &api.AcceptRequest{Home: "h1", Threats: []int{0}}))
-		}},
-		{"accept out of range", func() outcome {
-			return viaHTTP("POST", "/homes/h1/accept", map[string]any{"threats": []int{99}})
-		}, func() outcome {
-			return viaRPC(client.Accept(ctx, &api.AcceptRequest{Home: "h1", Threats: []int{99}}))
-		}},
-		{"active threats", func() outcome {
-			return viaHTTP("GET", "/homes/h1/threats?active=true", nil)
-		}, func() outcome {
-			return viaRPC(client.Threats(ctx, &api.ThreatsRequest{Home: "h1", Active: true}))
-		}},
-		{"apps", func() outcome {
-			return viaHTTP("GET", "/homes/h1/apps", nil)
-		}, func() outcome {
-			return viaRPC(client.Apps(ctx, "h1"))
-		}},
-	}
-	for _, s := range steps {
-		check(s.name, s.http(), s.rpc())
-	}
+	paritytest.Run(t, httpSrv.mux, client)
 
 	// Both fleets processed the identical sequence: their metrics agree
 	// on the load-bearing counters.

@@ -19,7 +19,11 @@
 // them. Each home ID hashes to one owning node; requests forward over
 // pooled HGRPC clients. The ring is versioned from the sorted
 // membership, so gateway replicas configured identically route
-// identically with no coordination.
+// identically with no coordination. The gateway and its nodes must
+// speak the same HGRPC version (see internal/rpc): a node drops a
+// connection whose preface names another version, so a mixed pair
+// fails at connect — every call UNAVAILABLE, the heartbeat marks the
+// node down — instead of misreading frames.
 //
 // # Health, failover, retries
 //

@@ -19,6 +19,7 @@ import (
 	"crypto/sha256"
 	"fmt"
 	"sync"
+	"unsafe"
 
 	"homeguard/internal/symexec"
 )
@@ -27,12 +28,15 @@ import (
 // source and the name override.
 type Key [sha256.Size]byte
 
-// KeyOf computes the content address for a source/name pair.
+// KeyOf computes the content address for a source/name pair. The
+// strings are hashed in place: every install looks its source up, and
+// a []byte conversion would copy the whole source each time (the
+// digest only reads its input).
 func KeyOf(src, appName string) Key {
 	h := sha256.New()
-	h.Write([]byte(src))
+	h.Write(unsafe.Slice(unsafe.StringData(src), len(src)))
 	h.Write([]byte{0}) // domain-separate source from name override
-	h.Write([]byte(appName))
+	h.Write(unsafe.Slice(unsafe.StringData(appName), len(appName)))
 	var k Key
 	h.Sum(k[:0])
 	return k

@@ -1,6 +1,9 @@
 package extractcache
 
 import (
+	"encoding/hex"
+	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -203,4 +206,47 @@ func TestBoundedEviction(t *testing.T) {
 	if re := calls - before; re < 2 || re > 4 {
 		t.Fatalf("re-extractions = %d, want between 2 and 4", re)
 	}
+}
+
+// TestKeyOfGolden pins the content address: checkpoints store cache
+// entries by key, so a change to the hashing would orphan every cached
+// extraction a restored node brings back.
+func TestKeyOfGolden(t *testing.T) {
+	const src = "definition(name: \"GoldenKey\")\n"
+	for _, tc := range []struct{ name, want string }{
+		{"", "1dd9920d670b17f9d7cc2550168bb28fe99bdec1545dc55330910311ac3e1211"},
+		{"Override", "7e821c462b3cb7f24dd6c8a2147e2a7fa3bead59b826f807968751c507e890a8"},
+	} {
+		k := KeyOf(src, tc.name)
+		if got := hex.EncodeToString(k[:]); got != tc.want {
+			t.Errorf("KeyOf(src, %q) = %s, want %s", tc.name, got, tc.want)
+		}
+	}
+}
+
+// TestKeyOfAllocsFlat checks KeyOf hashes the source in place: the
+// bytes it allocates per call must not grow with the source's length.
+// (Counting allocations alone would miss a copy: a short and a long
+// []byte conversion are one allocation each.)
+func TestKeyOfAllocsFlat(t *testing.T) {
+	short := "definition(name: \"A\")"
+	long := strings.Repeat(short+"\n", 1<<14) // ~370 KB
+	var sink Key
+	bytesPerCall := func(src string) uint64 {
+		const n = 20
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			sink = KeyOf(src, "name")
+		}
+		runtime.ReadMemStats(&after)
+		return (after.TotalAlloc - before.TotalAlloc) / n
+	}
+	a, b := bytesPerCall(short), bytesPerCall(long)
+	if b > a+1024 {
+		t.Errorf("KeyOf allocates %d B/call for %d source bytes but %d B/call for %d; want no growth with length",
+			a, len(short), b, len(long))
+	}
+	_ = sink
 }

@@ -150,18 +150,13 @@ func deadlineMsOf(ctx context.Context) int64 {
 // is nil). Server-side failures come back as *api.Error; transport
 // failures as ordinary errors.
 func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
 	id, ch, err := c.register(1)
 	if err != nil {
 		return err
 	}
 	defer c.unregister(id)
-	hdr := reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx), Body: body}
-	if err := c.fw.writeJSON(frameReq, id, hdr); err != nil {
-		return api.Wrap(api.CodeUnavailable, err, "rpc: send")
+	if err := c.send(frameReq, id, method, deadlineMsOf(ctx), req); err != nil {
+		return err
 	}
 	for {
 		select {
@@ -179,6 +174,27 @@ func (c *Client) Call(ctx context.Context, method string, req, resp any) error {
 	}
 }
 
+// send encodes one REQ (when typ is frameReq) or MSG frame, body
+// included, into a pooled buffer and writes it.
+func (c *Client) send(typ byte, id uint64, method string, deadlineMs int64, body any) error {
+	b := getEncBuf()
+	defer putEncBuf(b)
+	if typ == frameReq {
+		hdr, err := appendReqHeader(b.AvailableBuffer(), method, deadlineMs)
+		if err != nil {
+			return err
+		}
+		b.Write(hdr)
+	}
+	if err := b.encode(body); err != nil {
+		return err
+	}
+	if err := c.fw.write(typ, id, b.Bytes()); err != nil {
+		return api.Wrap(api.CodeUnavailable, err, "rpc: send")
+	}
+	return nil
+}
+
 // ctxErr types a local context expiry the way the server would have:
 // DEADLINE_EXCEEDED or CANCELLED, with the context error wrapped so
 // errors.Is(err, context.DeadlineExceeded) still holds.
@@ -193,18 +209,15 @@ func ctxErr(ctx context.Context) error {
 
 // decodeStatus unpacks a RES payload into an error and/or resp.
 func decodeStatus(payload []byte, resp any) error {
-	var res resPayload
-	if err := json.Unmarshal(payload, &res); err != nil {
-		return fmt.Errorf("rpc: bad response: %w", err)
+	body, aerr, err := parseStatus(payload)
+	if err != nil {
+		return err
 	}
-	if res.Error != nil {
-		return res.Error
+	if aerr != nil {
+		return aerr
 	}
-	if res.Status != 0 {
-		return api.Errorf(api.CodeInternal, "status %d with no error envelope", res.Status)
-	}
-	if resp != nil && len(res.Body) > 0 {
-		if err := json.Unmarshal(res.Body, resp); err != nil {
+	if resp != nil && len(body) > 0 {
+		if err := json.Unmarshal(body, resp); err != nil {
 			return fmt.Errorf("rpc: bad response body: %w", err)
 		}
 	}
@@ -312,6 +325,14 @@ func (c *Client) AdoptHome(ctx context.Context, req *api.AdoptHomeRequest) (*api
 	return resp, nil
 }
 
+// streamItem is one per-item outcome on a response stream: exactly one
+// of Result and Error is set, so a bad item reports its error without
+// tearing down the stream.
+type streamItem struct {
+	Result json.RawMessage
+	Error  *api.Error
+}
+
 // Stream is a client-side bidirectional stream. Send requests with
 // Send, half-close with CloseSend, then drain results with Recv until
 // io.EOF (the server trailer). Per-item failures surface as the Error
@@ -330,8 +351,12 @@ func (c *Client) openStream(ctx context.Context, method string) (*Stream, error)
 	if err != nil {
 		return nil, err
 	}
-	hdr := reqHeader{Method: method, DeadlineMs: deadlineMsOf(ctx)}
-	if err := c.fw.writeJSON(frameReq, id, hdr); err != nil {
+	hdr, err := appendReqHeader(nil, method, deadlineMsOf(ctx))
+	if err != nil {
+		c.unregister(id)
+		return nil, err
+	}
+	if err := c.fw.write(frameReq, id, hdr); err != nil {
 		c.unregister(id)
 		return nil, api.Wrap(api.CodeUnavailable, err, "rpc: open stream")
 	}
@@ -340,7 +365,7 @@ func (c *Client) openStream(ctx context.Context, method string) (*Stream, error)
 
 // Send ships one request message on the stream.
 func (st *Stream) Send(req any) error {
-	return st.c.fw.writeJSON(frameMsg, st.id, req)
+	return st.c.send(frameMsg, st.id, "", 0, req)
 }
 
 // CloseSend half-closes the stream: no more Sends will follow.
@@ -364,11 +389,11 @@ func (st *Stream) Recv() (*streamItem, error) {
 			}
 			switch f.typ {
 			case frameMsg:
-				item := new(streamItem)
-				if err := json.Unmarshal(f.payload, item); err != nil {
+				result, aerr, err := parseStatus(f.payload)
+				if err != nil {
 					return nil, fmt.Errorf("rpc: bad stream item: %w", err)
 				}
-				return item, nil
+				return &streamItem{Result: result, Error: aerr}, nil
 			case frameRes:
 				st.closed = true
 				st.c.unregister(st.id)

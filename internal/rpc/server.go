@@ -140,14 +140,17 @@ func (s *Server) Close() error {
 }
 
 // stream is the server-side state of one open client stream: the
-// reader loop feeds MSG payloads into inbox and closes it on EOS.
+// reader loop feeds MSG payloads into inbox and closes it on EOS. The
+// handler closes done when it returns, so the reader loop never blocks
+// on an inbox nobody drains.
 type stream struct {
 	inbox chan json.RawMessage
+	done  chan struct{}
 }
 
 // handleConn runs one connection: verify the preface, then read frames
-// and dispatch. RPC handlers run in their own goroutines; responses
-// are serialized through the shared frame writer.
+// and dispatch. RPC handlers run on the worker pool; responses are
+// serialized through the shared frame writer.
 func (s *Server) handleConn(conn net.Conn) {
 	defer conn.Close()
 	br := bufio.NewReaderSize(conn, 32<<10)
@@ -156,13 +159,19 @@ func (s *Server) handleConn(conn net.Conn) {
 		return
 	}
 	fw := &frameWriter{w: bufio.NewWriterSize(conn, 32<<10)}
+	// streams is read and written by this loop only. A stream whose
+	// handler has returned is forgotten at its next MSG or EOS.
 	streams := map[uint64]*stream{}
 	// Per-connection handler tracking: when the reader loop exits, the
-	// connection context is canceled so abandoned handlers unwind.
+	// connection context is canceled so abandoned handlers unwind, and
+	// only then waited for (a stream handler blocks on its inbox until
+	// the cancel).
 	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
 	var wg sync.WaitGroup
-	defer wg.Wait()
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
 
 	for {
 		f, err := readFrame(br)
@@ -171,32 +180,42 @@ func (s *Server) handleConn(conn net.Conn) {
 		}
 		switch f.typ {
 		case frameReq:
-			var hdr reqHeader
-			if err := json.Unmarshal(f.payload, &hdr); err != nil {
-				s.writeStatus(fw, f.id, api.Errorf(api.CodeInvalidArgument, "bad request header: %v", err), nil)
+			method, deadlineMs, body, err := parseReq(f.payload)
+			if err != nil {
+				// A dead connection ends this loop at the next read.
+				_ = s.reply(fw, frameRes, f.id, api.Errorf(api.CodeInvalidArgument, "bad request header: %v", err), nil)
 				continue
 			}
-			if isStreamMethod(hdr.Method) {
-				st := &stream{inbox: make(chan json.RawMessage, 16)}
-				streams[f.id] = st
-				wg.Add(1)
-				go func(id uint64, hdr reqHeader, st *stream) {
-					defer wg.Done()
-					s.handleStream(ctx, fw, id, hdr, st)
-				}(f.id, hdr, st)
-				continue
-			}
+			id := f.id
 			wg.Add(1)
-			go func(id uint64, hdr reqHeader) {
+			if isStreamMethod(method) {
+				st := &stream{inbox: make(chan json.RawMessage, 16), done: make(chan struct{})}
+				streams[id] = st
+				workers.run(func() {
+					defer wg.Done()
+					defer close(st.done)
+					s.handleStream(ctx, fw, id, method, deadlineMs, st)
+				})
+				continue
+			}
+			workers.run(func() {
 				defer wg.Done()
-				s.handleUnary(ctx, fw, id, hdr)
-			}(f.id, hdr)
+				s.handleUnary(ctx, fw, id, method, deadlineMs, body)
+			})
 		case frameMsg:
-			if st, ok := streams[f.id]; ok {
-				// Blocking here applies flow control: a stream consumer
-				// that can't keep up backpressures the whole connection,
-				// exactly like an HTTP/2 window running dry.
-				st.inbox <- f.payload
+			st, ok := streams[f.id]
+			if !ok {
+				continue
+			}
+			// Blocking here applies flow control: a stream consumer
+			// that can't keep up backpressures the whole connection,
+			// exactly like an HTTP/2 window running dry. A stream whose
+			// handler has returned (its deadline passed) takes no more
+			// messages: they are dropped and the stream forgotten.
+			select {
+			case st.inbox <- f.payload:
+			case <-st.done:
+				delete(streams, f.id)
 			}
 		case frameEOS:
 			if st, ok := streams[f.id]; ok {
@@ -243,23 +262,24 @@ func (s *Server) intercept(method string, fn func(sp *obs.Span) *api.Error) *api
 }
 
 // handleUnary decodes, dispatches and responds to one unary RPC.
-func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader) {
-	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
+func (s *Server) handleUnary(parent context.Context, fw *frameWriter, id uint64, method string, deadlineMs int64, reqBody []byte) {
+	ctx, cancel := s.rpcCtx(parent, deadlineMs)
 	defer cancel()
 	var body any
-	aerr := s.intercept(hdr.Method, func(sp *obs.Span) *api.Error {
+	aerr := s.intercept(method, func(sp *obs.Span) *api.Error {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
 		var e *api.Error
-		body, e = s.dispatch(ctx, hdr.Method, hdr.Body)
+		body, e = s.dispatch(ctx, method, reqBody)
 		return e
 	})
-	s.writeStatus(fw, id, aerr, body)
+	// A dead connection ends the reader loop, which unwinds the rest.
+	_ = s.reply(fw, frameRes, id, aerr, body)
 }
 
 // dispatch routes one unary method.
-func (s *Server) dispatch(ctx context.Context, method string, body json.RawMessage) (any, *api.Error) {
+func (s *Server) dispatch(ctx context.Context, method string, body []byte) (any, *api.Error) {
 	switch method {
 	case "Install":
 		req := new(api.InstallRequest)
@@ -337,12 +357,12 @@ func isStreamMethod(method string) bool {
 // error), and a RES trailer closes the stream. Per-item failures do
 // not tear the stream down; only transport errors and stream-level
 // deadline expiry do.
-func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64, hdr reqHeader, st *stream) {
-	ctx, cancel := s.rpcCtx(parent, hdr.DeadlineMs)
+func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64, method string, deadlineMs int64, st *stream) {
+	ctx, cancel := s.rpcCtx(parent, deadlineMs)
 	defer cancel()
 	s.m.streamOpen()
 	defer s.m.streamClose()
-	aerr := s.intercept(hdr.Method, func(sp *obs.Span) *api.Error {
+	aerr := s.intercept(method, func(sp *obs.Span) *api.Error {
 		if sp != nil {
 			ctx = obs.ContextWithSpan(ctx, sp)
 		}
@@ -356,8 +376,8 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 				}
 				n++
 				s.m.streamMsg()
-				item := s.streamItemFor(ctx, hdr.Method, payload)
-				if err := fw.writeJSON(frameMsg, id, item); err != nil {
+				res, aerr := s.runStreamItem(ctx, method, payload)
+				if err := s.reply(fw, frameMsg, id, aerr, res); err != nil {
 					return api.Errorf(api.CodeUnavailable, "stream write: %v", err)
 				}
 			case <-ctx.Done():
@@ -365,60 +385,59 @@ func (s *Server) handleStream(parent context.Context, fw *frameWriter, id uint64
 			}
 		}
 	})
-	s.writeStatus(fw, id, aerr, nil)
+	_ = s.reply(fw, frameRes, id, aerr, nil) // a dead connection: as in handleUnary
 }
 
-// streamItemFor runs one streamed request and wraps its outcome.
-func (s *Server) streamItemFor(ctx context.Context, method string, payload json.RawMessage) streamItem {
-	var (
-		res  any
-		aerr *api.Error
-	)
+// runStreamItem runs one streamed request.
+func (s *Server) runStreamItem(ctx context.Context, method string, payload json.RawMessage) (any, *api.Error) {
 	switch method {
 	case "StreamInstall":
 		req := new(api.InstallRequest)
-		if aerr = decodeBody(payload, req); aerr == nil {
-			res, aerr = s.svc.Install(ctx, req)
+		if aerr := decodeBody(payload, req); aerr != nil {
+			return nil, aerr
 		}
+		return s.svc.Install(ctx, req)
 	case "StreamThreats":
 		req := new(api.ThreatsRequest)
-		if aerr = decodeBody(payload, req); aerr == nil {
-			res, aerr = s.svc.Threats(ctx, req)
+		if aerr := decodeBody(payload, req); aerr != nil {
+			return nil, aerr
 		}
+		return s.svc.Threats(ctx, req)
 	}
-	if aerr != nil {
-		return streamItem{Error: aerr}
-	}
-	b, err := json.Marshal(res)
-	if err != nil {
-		return streamItem{Error: api.Errorf(api.CodeInternal, "encode result: %v", err)}
-	}
-	return streamItem{Result: b}
+	return nil, api.Errorf(api.CodeNotFound, "unknown stream method %q", method)
 }
 
-// writeStatus emits the RES frame for one finished RPC.
-func (s *Server) writeStatus(fw *frameWriter, id uint64, aerr *api.Error, body any) {
-	res := resPayload{}
-	if aerr != nil {
-		res.Status = aerr.Code.GRPC()
-		res.Error = aerr
-	} else if body != nil {
-		b, err := json.Marshal(body)
-		if err != nil {
-			res.Status = api.CodeInternal.GRPC()
-			res.Error = api.Errorf(api.CodeInternal, "encode response: %v", err)
-		} else {
-			res.Body = b
+// reply emits a [status][JSON] frame for one finished RPC (RES) or
+// stream item (MSG): the body's JSON when aerr is nil, the error
+// envelope otherwise. The JSON is encoded once, into a pooled buffer.
+// A write error means the connection died.
+func (s *Server) reply(fw *frameWriter, typ byte, id uint64, aerr *api.Error, body any) error {
+	b := getEncBuf()
+	defer putEncBuf(b)
+	if aerr == nil && body != nil {
+		if err := b.encode(body); err != nil {
+			aerr = api.Errorf(api.CodeInternal, "encode response: %v", err)
+		} else if b.Len() >= maxFrame {
+			aerr = api.Errorf(api.CodeResourceExhausted, "response of %d bytes exceeds the %d byte frame cap", b.Len(), maxFrame)
 		}
 	}
-	// A write failure means the connection died; the reader loop
-	// notices and unwinds.
-	_ = fw.writeJSON(frameRes, id, res)
+	var status byte
+	if aerr != nil {
+		b.Reset()
+		status = byte(aerr.Code.GRPC())
+		if status == 0 {
+			status = byte(api.CodeInternal.GRPC()) // an error never reads as OK
+		}
+		if err := b.encode(aerr); err != nil {
+			return err
+		}
+	}
+	return fw.writeStatus(typ, id, status, b.Bytes())
 }
 
 // decodeBody unmarshals a request body, mapping malformed JSON to
 // INVALID_ARGUMENT.
-func decodeBody(body json.RawMessage, into any) *api.Error {
+func decodeBody(body []byte, into any) *api.Error {
 	if len(body) == 0 {
 		return api.Errorf(api.CodeInvalidArgument, "empty request body")
 	}

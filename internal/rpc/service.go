@@ -103,11 +103,15 @@ func breakerCounts(e *api.Error) bool {
 
 // runStage executes op under the stage's breaker and the RPC deadline.
 // A shed request fails fast with UNAVAILABLE and a retry hint; an op
-// that outlives ctx returns DEADLINE_EXCEEDED (the op goroutine is
-// abandoned — it completes in the background and, for extraction,
-// still warms the shared cache); a panic inside op becomes INTERNAL.
-// Timeouts, panics and internal errors feed the breaker; client errors
-// reset it.
+// that outlives ctx returns DEADLINE_EXCEEDED; a panic inside op
+// becomes INTERNAL. Timeouts, panics and internal errors feed the
+// breaker; client errors reset it.
+//
+// The op runs on the package's reused workers (see workerPool), whose
+// stacks are already grown, not on a fresh goroutine. An op abandoned
+// at its deadline still completes in the background — for extraction
+// it still warms the shared cache — and holds its worker until it
+// returns.
 func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op func() error) *api.Error {
 	if err := ctx.Err(); err != nil {
 		return api.FromErr(err)
@@ -123,7 +127,7 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 		return aerr
 	}
 	done := make(chan *api.Error, 1)
-	go func() {
+	workers.run(func() {
 		defer func() {
 			if r := recover(); r != nil {
 				done <- api.Errorf(api.CodeInternal, "%s stage panic: %v", stage, r)
@@ -136,7 +140,7 @@ func (s *Service) runStage(ctx context.Context, stage string, b *Breaker, op fun
 			}
 		}
 		done <- api.FromErr(op())
-	}()
+	})
 	select {
 	case aerr := <-done:
 		if breakerCounts(aerr) {
